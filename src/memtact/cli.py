@@ -99,7 +99,7 @@ def cmd_extract(args) -> int:
     cfg = _resolve(args, defaults)
     try:
         gestures = tactile.read_gestures_jsonl(args.data)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:
         raise SystemExit(f"error: {e}")
     feats = np.empty((len(gestures), tactile.FEATURE_LENGTH))
     labels = np.empty(len(gestures), dtype=np.int64)

@@ -20,7 +20,6 @@ from dataclasses import dataclass, asdict
 from pathlib import Path
 
 import numpy as np
-from scipy import optimize
 
 DEFAULT_B_MIN = -1.0
 DEFAULT_B_MAX = 1.0
@@ -239,6 +238,9 @@ def fit_softbounds(trace: Trace, scheme: PulseScheme, *, restarts: int = 8,
     residual drops below f_tol, which noise-free traces normally reach on
     the first start.
     """
+    # scipy costs ~0.6 s to import and only the fit needs it
+    from scipy import optimize
+
     samples = np.asarray(trace.samples, dtype=np.float64)
     expected = scheme.total_pulses() + 1
     if samples.size != expected:

@@ -4,15 +4,18 @@ Gestures are time series of 9x9 pressure frames. The 38-entry feature vector
 summarizes intensity, temporal structure, spatial mass distribution, contact
 area, and the pressure-weighted centroid trajectory.
 
-All reductions go through exactly-rounded summation, so features are
-invariant bit for bit under reorderings of the data such as temporal
-reversal and frame transposition.
+Every reduction is a canonical-order sum: the values are copied into a
+C-contiguous array, sorted along the last axis, and summed along it. A sum
+then depends only on the multiset of its values, so features are invariant
+bit for bit under reorderings of the data such as temporal reversal and
+frame transposition. The contiguous copy matters: a transposed view sorted
+in place keeps its strides, and numpy sums it with plain sequential
+accumulation instead of pairwise, which breaks the symmetry.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,9 +89,15 @@ def merge_labels_10_to_5(label: int) -> int:
     return (int(label) + 1) // 2
 
 
-def _fsum(values) -> float:
-    """Exactly rounded sum, independent of summation order."""
-    return math.fsum(np.asarray(values, dtype=np.float64).ravel().tolist())
+def _canonical_sum(values) -> np.ndarray:
+    """Sum along the last axis in ascending order of value.
+
+    np.array always copies, into C order, so the in-place sort never
+    touches the caller's data and the sum runs over contiguous rows.
+    """
+    s = np.array(values, dtype=np.float64, order="C")
+    s.sort(axis=-1)
+    return s.sum(axis=-1)
 
 
 def preprocess(series: GestureSeries, window: int = 3) -> GestureSeries:
@@ -103,11 +112,16 @@ def preprocess(series: GestureSeries, window: int = 3) -> GestureSeries:
     n = frames.shape[0]
     left = (window - 1) // 2
     right = window // 2
-    smoothed = np.empty_like(frames)
-    for t in range(n):
-        lo = max(0, t - left)
-        hi = min(n, t + right + 1)
-        smoothed[t] = frames[lo:hi].mean(axis=0)
+    # one shifted slice per window offset, added in ascending source order
+    # as frames[lo:hi].mean(axis=0) would, then divided by the window width
+    sums = np.zeros_like(frames)
+    width = np.zeros(n)
+    for d in range(-left, right + 1):
+        lo, hi = max(0, -d), min(n, n - d)
+        if lo < hi:
+            sums[lo:hi] += frames[lo + d:hi + d]
+            width[lo:hi] += 1.0
+    smoothed = sums / width[:, np.newaxis, np.newaxis]
     lo_v = smoothed.min()
     hi_v = smoothed.max()
     if hi_v > lo_v:
@@ -117,24 +131,29 @@ def preprocess(series: GestureSeries, window: int = 3) -> GestureSeries:
     return GestureSeries(frames=smoothed, label=series.label, speed=series.speed)
 
 
+def _frame_totals(frames: np.ndarray) -> np.ndarray:
+    return _canonical_sum(frames.reshape(frames.shape[0], GRID * GRID))
+
+
+def _count_peaks(totals: np.ndarray) -> int:
+    mid = totals[1:-1]
+    return int(np.count_nonzero((mid > totals[:-2]) & (mid > totals[2:])))
+
+
 def peak_count(series: GestureSeries) -> int:
     """Number of strict interior local maxima of the frame-average pressure."""
-    sums = [_fsum(f) for f in series.frames]
-    count = 0
-    for t in range(1, len(sums) - 1):
-        if sums[t] > sums[t - 1] and sums[t] > sums[t + 1]:
-            count += 1
-    return count
+    return _count_peaks(_frame_totals(series.frames))
 
 
 def contact_area(series: GestureSeries, theta: float = AREA_THRESHOLD
                  ) -> tuple[float, float]:
     """(max, mean) number of taxels above the pressure threshold per frame."""
     counts = (series.frames > theta).sum(axis=(1, 2))
-    return float(counts.max()), _fsum(counts) / len(counts)
+    return float(counts.max()), float(counts.sum()) / len(counts)
 
 
-def _raw_centroids(frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _raw_centroids(frames: np.ndarray, totals: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray]:
     """Per-frame pressure-weighted centroid (x = column, y = row).
 
     Frames with essentially no pressure inherit the previous centroid; a
@@ -142,18 +161,15 @@ def _raw_centroids(frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     n = frames.shape[0]
     cols = np.arange(GRID, dtype=np.float64)
-    cx = np.empty(n)
-    cy = np.empty(n)
-    px, py = _GRID_CENTER, _GRID_CENTER
-    for t in range(n):
-        frame = frames[t]
-        total = _fsum(frame)
-        if total < _EMPTY_FRAME_PRESSURE:
-            cx[t], cy[t] = px, py
-            continue
-        px = _fsum(frame * cols[np.newaxis, :]) / total
-        py = _fsum(frame * cols[:, np.newaxis]) / total
-        cx[t], cy[t] = px, py
+    wx = _canonical_sum((frames * cols[np.newaxis, :]).reshape(n, -1))
+    wy = _canonical_sum((frames * cols[:, np.newaxis]).reshape(n, -1))
+    valid = totals >= _EMPTY_FRAME_PRESSURE
+    safe = np.where(valid, totals, 1.0)
+    # forward-fill: each frame reads the last non-empty frame at or before it
+    last = np.maximum.accumulate(np.where(valid, np.arange(n), -1))
+    seen = last >= 0
+    cx = np.where(seen, (wx / safe)[last], _GRID_CENTER)
+    cy = np.where(seen, (wy / safe)[last], _GRID_CENTER)
     return cx, cy
 
 
@@ -195,10 +211,15 @@ def centroid_trajectory(series: GestureSeries
     (vertical) coordinate. Path length is the polyline length of the raw
     per-frame centroids, before resampling.
     """
-    cx, cy = _raw_centroids(series.frames)
+    return _trajectory(series.frames, _frame_totals(series.frames))
+
+
+def _trajectory(frames: np.ndarray, totals: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray, float]:
+    cx, cy = _raw_centroids(frames, totals)
     dx = np.diff(cx)
     dy = np.diff(cy)
-    path = math.fsum(np.sqrt(dx * dx + dy * dy).tolist())
+    path = float(_canonical_sum(np.sqrt(dx * dx + dy * dy)))
     return _resample_curve(cx), _resample_curve(cy), path
 
 
@@ -208,22 +229,26 @@ def extract_features(series: GestureSeries) -> np.ndarray:
     n = frames.shape[0]
     taxels = GRID * GRID
 
-    mean_p = _fsum(frames) / (n * taxels)
-    max_p = _fsum(frames.max(axis=0)) / taxels
+    totals = _frame_totals(frames)
+    mean_p = float(_canonical_sum(totals)) / (n * taxels)
+    max_p = float(_canonical_sum(frames.max(axis=0).ravel())) / taxels
     if n > 1:
-        variability = _fsum(np.abs(np.diff(frames, axis=0))) / ((n - 1) * taxels)
+        diffs = np.abs(np.diff(frames, axis=0)).ravel()
+        variability = float(_canonical_sum(diffs)) / ((n - 1) * taxels)
     else:
         variability = 0.0
-    peaks = float(peak_count(series))
+    peaks = float(_count_peaks(totals))
     duration = float(n)
 
-    row_means = np.array([_fsum(frames[:, r, :]) / (n * GRID)
-                          for r in range(GRID)])
-    col_means = np.array([_fsum(frames[:, :, c]) / (n * GRID)
-                          for c in range(GRID)])
+    # one array row per grid row r (frames[:, r, :]) and one per column c
+    # (frames[:, :, c]); transposing the frames swaps the two arrays
+    row_means = _canonical_sum(
+        frames.transpose(1, 0, 2).reshape(GRID, -1)) / (n * GRID)
+    col_means = _canonical_sum(
+        frames.transpose(2, 0, 1).reshape(GRID, -1)) / (n * GRID)
 
     area_max, area_mean = contact_area(series)
-    traj_x, traj_y, path = centroid_trajectory(series)
+    traj_x, traj_y, path = _trajectory(frames, totals)
 
     # trajectory features measure displacement from the grid center, so a
     # contact-free series yields an all-zero vector apart from duration
@@ -259,16 +284,26 @@ def write_gestures_jsonl(gestures, path, decimals: int = 5) -> None:
 
 
 def read_gestures_jsonl(path) -> list[GestureSeries]:
+    """Parse gesture records; a bad record raises ValueError naming its line."""
     gestures = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            rec = json.loads(line)
-            gestures.append(GestureSeries(
-                frames=np.asarray(rec["frames"], dtype=np.float64),
-                label=int(rec["label"]), speed=rec["speed"]))
+            try:
+                rec = json.loads(line)
+                if not isinstance(rec, dict):
+                    raise TypeError("not a JSON object")
+                gestures.append(GestureSeries(
+                    frames=np.asarray(rec["frames"], dtype=np.float64),
+                    label=int(rec["label"]), speed=rec["speed"]))
+            except KeyError as e:
+                raise ValueError(
+                    f"{path}, line {lineno}: missing field {e}") from None
+            except (TypeError, ValueError) as e:
+                raise ValueError(
+                    f"{path}, line {lineno}: bad gesture record: {e}") from None
     if not gestures:
         raise ValueError(f"{path}: no gesture records")
     return gestures

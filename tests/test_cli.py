@@ -1,10 +1,15 @@
 """End-to-end command line tests, run in process against temp directories."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import memtact
 from memtact import device, nn, tactile
 from memtact.cli import main
 
@@ -46,6 +51,37 @@ def test_extract_rejects_empty_dataset(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run("extract-features", "--data", empty, "--out", tmp_path / "f.csv")
     assert "error:" in str(exc.value)
+
+
+GOOD_RECORD = json.dumps({"id": 0, "label": 1, "speed": "regular",
+                          "frames": [[[0.0] * 9] * 9]})
+
+
+@pytest.mark.parametrize("record", [
+    "[1,2,3]",
+    '{"id": 1, "label": null, "speed": "regular", "frames": [[[0]]]}',
+    '{"id": 1, "label": 1, "speed": "regular", "frames": {"a": 1}}',
+], ids=["list_record", "null_label", "dict_frames"])
+def test_extract_rejects_malformed_record(tmp_path, record):
+    data = tmp_path / "bad.jsonl"
+    data.write_text(GOOD_RECORD + "\n" + record + "\n")
+    with pytest.raises(SystemExit) as exc:
+        run("extract-features", "--data", data, "--out", tmp_path / "f.csv")
+    message = str(exc.value)
+    assert message.startswith("error:")
+    assert "bad.jsonl, line 2" in message
+    assert "\n" not in message
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    """Only fit-device needs scipy, so it must not load at import time."""
+    src = Path(memtact.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = ("import sys, memtact.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_full_pipeline_train_program_infer(tmp_path, small_features, capsys):

@@ -1,13 +1,18 @@
 """Feature extraction tests: worked examples, symmetries, file formats."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memtact.data import derive_rng
 from memtact.tactile import (
     FEATURE_LENGTH,
     FEATURE_NAMES,
     GestureSeries,
+    _resample_curve,
     centroid_trajectory,
     contact_area,
     extract_features,
@@ -38,6 +43,28 @@ def random_series(rng, n=None):
     if n is None:
         n = int(rng.integers(2, 80))
     return series(rng.uniform(0.01, 1.0, size=(n, 9, 9)))
+
+
+@st.composite
+def frame_stacks(draw, positive=False, max_frames=40):
+    """(n, 9, 9) pressures, n >= 1.
+
+    Unless strictly positive, whole frames and scattered taxels are zeroed,
+    so empty frames (and all-zero series) occur.
+    """
+    n = draw(st.integers(1, max_frames))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if positive:
+        return rng.uniform(0.01, 1.0, size=(n, 9, 9))
+    frames = rng.uniform(0.0, 1.0, size=(n, 9, 9))
+    frames[rng.uniform(size=frames.shape) < draw(st.floats(0.0, 1.0))] = 0.0
+    frames[draw(st.lists(st.booleans(), min_size=n, max_size=n))] = 0.0
+    return frames
+
+
+# small and reproducible: the whole suite should stay well under a minute
+PROPERTY = settings(max_examples=50, deadline=None, derandomize=True,
+                    database=None)
 
 
 def single_taxel(n, positions, value=1.0):
@@ -84,6 +111,27 @@ def test_preprocess_keeps_label_and_speed():
     g = series(np.zeros((4, 9, 9)), label=7, speed="slow")
     out = preprocess(g)
     assert out.label == 7 and out.speed == "slow"
+
+
+def preprocess_oracle(frames, window):
+    """The per-frame loop that preprocess replaced."""
+    n = frames.shape[0]
+    left = (window - 1) // 2
+    right = window // 2
+    smoothed = np.empty_like(frames)
+    for t in range(n):
+        smoothed[t] = frames[max(0, t - left):min(n, t + right + 1)].mean(axis=0)
+    lo, hi = smoothed.min(), smoothed.max()
+    if hi > lo:
+        return (smoothed - lo) / (hi - lo)
+    return np.zeros_like(smoothed)
+
+
+@PROPERTY
+@given(frames=frame_stacks(max_frames=12), window=st.integers(1, 5))
+def test_preprocess_matches_per_frame_loop_bit_for_bit(frames, window):
+    out = preprocess(series(frames), window=window)
+    assert out.frames.tobytes() == preprocess_oracle(frames, window).tobytes()
 
 
 # -- scalar summaries ----------------------------------------------------------
@@ -194,6 +242,87 @@ def test_transpose_symmetry_is_exact():
         expected[IDX_TRAJ_X] = f[IDX_TRAJ_Y]
         expected[IDX_TRAJ_Y] = f[IDX_TRAJ_X]
         assert np.array_equal(t, expected)
+
+
+@PROPERTY
+@given(frames=frame_stacks())
+def test_transpose_symmetry_property(frames):
+    """Exact for any length, empty frames included."""
+    f = extract_features(series(frames))
+    t = extract_features(series(frames.transpose(0, 2, 1).copy()))
+    expected = f.copy()
+    expected[5:14], expected[14:23] = f[14:23], f[5:14]
+    expected[IDX_TRAJ_X] = f[IDX_TRAJ_Y]
+    expected[IDX_TRAJ_Y] = f[IDX_TRAJ_X]
+    assert np.array_equal(t, expected)
+
+
+@PROPERTY
+@given(frames=frame_stacks(positive=True))
+def test_time_reversal_symmetry_property(frames):
+    """Exact for strictly positive frames.
+
+    Empty frames inherit the previous centroid, which is deliberately not
+    symmetric in time, so they are left out here.
+    """
+    f = extract_features(series(frames))
+    r = extract_features(series(frames[::-1].copy()))
+    expected = f.copy()
+    expected[IDX_TRAJ_X] = f[IDX_TRAJ_X][::-1]
+    expected[IDX_TRAJ_Y] = f[IDX_TRAJ_Y][::-1]
+    assert np.array_equal(r, expected)
+
+
+@PROPERTY
+@given(frames=frame_stacks())
+def test_strided_views_match_their_copies(frames):
+    """Features depend on the values of the frames, not on their layout."""
+    for view in (frames[::-1], frames.transpose(0, 2, 1),
+                 np.asfortranarray(frames)):
+        assert np.array_equal(extract_features(series(view)),
+                              extract_features(series(view.copy())))
+
+
+def features_oracle(frames):
+    """Per-frame loops over exactly rounded math.fsum sums."""
+    def fsum(values):
+        return math.fsum(np.ravel(values).tolist())
+
+    n = frames.shape[0]
+    grid = np.arange(9.0)
+    totals = [fsum(f) for f in frames]
+    peaks = sum(totals[t - 1] < totals[t] > totals[t + 1]
+                for t in range(1, n - 1))
+    cx, cy = [], []
+    px = py = 4.0
+    for f, total in zip(frames, totals):
+        if total >= 1e-9:
+            px = fsum(f * grid[np.newaxis, :]) / total
+            py = fsum(f * grid[:, np.newaxis]) / total
+        cx.append(px)
+        cy.append(py)
+    counts = [(f > 0.1).sum() for f in frames]
+    variability = (fsum(np.abs(np.diff(frames, axis=0))) / ((n - 1) * 81)
+                   if n > 1 else 0.0)
+    return np.concatenate([
+        [fsum(frames) / (n * 81), fsum(frames.max(axis=0)) / 81,
+         variability, peaks, n],
+        [fsum(frames[:, r, :]) / (n * 9) for r in range(9)],
+        [fsum(frames[:, :, c]) / (n * 9) for c in range(9)],
+        [max(counts), fsum(counts) / n],
+        _resample_curve(np.array(cx)) - 4.0,
+        _resample_curve(np.array(cy)) - 4.0,
+        [fsum(np.hypot(np.diff(cx), np.diff(cy)))],
+    ])
+
+
+@PROPERTY
+@given(frames=frame_stacks())
+def test_features_match_exactly_rounded_oracle(frames):
+    """Canonical-order sums stay within a few ulps of exact rounding."""
+    tol = 1000 * np.finfo(np.float64).eps
+    np.testing.assert_allclose(extract_features(series(frames)),
+                               features_oracle(frames), rtol=tol, atol=tol)
 
 
 def test_amplitude_scaling_covariance():
