@@ -51,7 +51,9 @@ class AnalogTile:
 
     def __init__(self, gamma_up, gamma_down, b_min, b_max, sigma_c2c, *,
                  seed: int = 0, stream_id: int = 0, rng=None):
-        arrays = [np.array(a, dtype=np.float64) for a in
+        # C order, so the flat row-major views of the pulse kernel share
+        # memory with the grids
+        arrays = [np.array(a, dtype=np.float64, order="C") for a in
                   (gamma_up, gamma_down, b_min, b_max, sigma_c2c)]
         shape = arrays[0].shape
         if len(shape) != 2 or any(a.shape != shape for a in arrays):
@@ -138,7 +140,7 @@ class AnalogTile:
         w = np.asarray(w, dtype=np.float64)
         if w.shape != self.shape:
             raise ValueError("weight matrix shape must match the tile")
-        self._w = np.clip(w, self._b_lo, self._b_hi)
+        self._w = np.ascontiguousarray(np.clip(w, self._b_lo, self._b_hi))
 
     def midpoint_step(self) -> np.ndarray:
         """Per-device mean noise-free step magnitude at w = 0."""
@@ -155,24 +157,35 @@ class AnalogTile:
 
     # -- writes -----------------------------------------------------------
 
+    def _pulse(self, up_idx: np.ndarray, down_idx: np.ndarray, rng) -> None:
+        """Pulse the devices at the given flat row-major indices once.
+
+        The tile's one soft-bounds update: w += gamma * (1 + sigma * xi) *
+        (bound - w), clipped to the device bounds, with one standard normal
+        xi per pulsed device drawn in index order, up pulses before down.
+        """
+        if not (up_idx.size or down_idx.size):
+            return
+        w = self._w.reshape(-1)
+        lo, hi, sig = (a.reshape(-1) for a in (self._b_lo, self._b_hi,
+                                                 self._sig))
+        for idx, gamma, bound in ((up_idx, self._gu, hi),
+                                  (down_idx, self._gd, lo)):
+            if idx.size:
+                xi = rng.standard_normal(idx.size)
+                step = gamma.reshape(-1)[idx] * (1.0 + sig[idx] * xi)
+                w_i = w[idx]
+                w[idx] = np.clip(w_i + step * (bound[idx] - w_i), lo[idx],
+                                 hi[idx])
+
     def apply_pulses(self, up_mask: np.ndarray, down_mask: np.ndarray,
                      rng=None) -> None:
         """Pulse the masked devices once, up and down masks disjoint."""
-        rng = self._rng if rng is None else rng
-        n_up = int(np.count_nonzero(up_mask))
-        n_down = int(np.count_nonzero(down_mask))
-        if n_up:
-            xi = rng.standard_normal(n_up)
-            m = up_mask
-            step = self._gu[m] * (1.0 + self._sig[m] * xi)
-            self._w[m] = np.clip(self._w[m] + step * (self._b_hi[m] - self._w[m]),
-                                 self._b_lo[m], self._b_hi[m])
-        if n_down:
-            xi = rng.standard_normal(n_down)
-            m = down_mask
-            step = self._gd[m] * (1.0 + self._sig[m] * xi)
-            self._w[m] = np.clip(self._w[m] + step * (self._b_lo[m] - self._w[m]),
-                                 self._b_lo[m], self._b_hi[m])
+        # ravel().nonzero()[0] is np.flatnonzero without its call overhead,
+        # which the many small updates of training would feel
+        self._pulse(up_mask.ravel().nonzero()[0],
+                    down_mask.ravel().nonzero()[0],
+                    self._rng if rng is None else rng)
 
     def stochastic_update(self, x: np.ndarray, d: np.ndarray, lr: float,
                           rng=None) -> UpdateStats:
@@ -228,6 +241,13 @@ class AnalogTile:
         most bouncing devices do. Escape pulses use only the verify reads,
         draw from the same noise stream, and count like any other pulse, so
         iterations <= max_iter still holds; the tolerance is unchanged.
+
+        Each round pulses and reads back only the devices still outside
+        their band, so the work shrinks as devices converge; a device that
+        reaches its band is never pulsed again. Pulses fire in row-major
+        order, up before down, as with full-tile masks. The report records
+        which devices fired an escape pulse, from which
+        ProgramReport.failure_causes tells why a device failed.
         """
         targets = np.asarray(targets, dtype=np.float64)
         if targets.shape != self.shape:
@@ -242,26 +262,47 @@ class AnalogTile:
         floor = 0.005 * (self.nominal_b_max - self.nominal_b_min)
         tol = np.maximum(epsilon * np.abs(targets), floor)
         attainable = (targets >= self._b_lo) & (targets <= self._b_hi)
-        iterations = np.zeros(self.shape, dtype=np.int64)
-        active = np.abs(self._w - targets) > tol
-        below = self._w < targets
-        flips = np.zeros(self.shape, dtype=np.int8)
-        for _ in range(max_iter):
-            if not active.any():
+        iterations = np.zeros(self._w.size, dtype=np.int64)
+        escaped = np.zeros(self._w.size, dtype=bool)
+        w = self._w.reshape(-1)
+        # the active set: flat row-major indices of the devices still outside
+        # their band, with their targets, bands, error signs, sign-change
+        # counts and escape flags compacted alongside; row-major order keeps
+        # the noise draws those of full-tile masks
+        idx = np.flatnonzero(np.abs(self._w - targets) > tol)
+        t = targets.reshape(-1)[idx]
+        band = tol.reshape(-1)[idx]
+        below = w[idx] < t
+        flips = np.zeros(idx.size, dtype=np.int8)
+        esc = np.zeros(idx.size, dtype=bool)
+        for it in range(1, max_iter + 1):
+            if not idx.size:
                 break
             escape = flips >= ESCAPE_AFTER_FLIPS
             flips[escape] = 0
-            up_mask = active & (below ^ escape)
-            down_mask = active ^ up_mask
-            self.apply_pulses(up_mask, down_mask, rng)
-            iterations[active] += 1
-            now_below = self._w < targets
+            esc |= escape
+            up = below ^ escape
+            self._pulse(idx[up], idx[~up], rng)
+            w_a = w[idx]
+            now_below = w_a < t
             flips += now_below ^ below
             below = now_below
-            active &= np.abs(self._w - targets) > tol
+            done = np.abs(w_a - t) <= band
+            if done.any():
+                iterations[idx[done]] = it
+                escaped[idx[done]] = esc[done]
+                keep = ~done
+                idx, t, band, below, flips, esc = (
+                    a[keep] for a in (idx, t, band, below, flips, esc))
+        iterations[idx] = max_iter
+        escaped[idx] = esc
+        converged = np.ones(self._w.size, dtype=bool)
+        converged[idx] = False
         return ProgramReport(targets=targets.copy(), achieved=self._w.copy(),
-                             iterations=iterations, converged=~active,
-                             attainable=attainable)
+                             iterations=iterations.reshape(self.shape),
+                             converged=converged.reshape(self.shape),
+                             attainable=attainable,
+                             escaped=escaped.reshape(self.shape))
 
 
 @dataclass(frozen=True)
@@ -273,6 +314,7 @@ class ProgramReport:
     iterations: np.ndarray
     converged: np.ndarray
     attainable: np.ndarray
+    escaped: np.ndarray  # at least one escape pulse fired on the device
 
     @property
     def converged_fraction(self) -> float:
@@ -287,6 +329,21 @@ class ProgramReport:
         err = np.abs(self.achieved - self.targets)
         return float((err / np.maximum(np.abs(self.targets), floor)).max())
 
+    def failure_causes(self) -> dict:
+        """Why each unconverged device failed, as disjoint masks.
+
+        `unattainable`: the target lies outside the device bounds;
+        `bouncing`: attainable, and at least one escape pulse fired;
+        `out_of_pulses`: attainable, and the greedy approach used up
+        max_iter pulses without an escape. Every unconverged device is in
+        exactly one mask, every converged device in none.
+        """
+        failed = ~self.converged
+        reachable = failed & self.attainable
+        return {"unattainable": failed & ~self.attainable,
+                "bouncing": reachable & self.escaped,
+                "out_of_pulses": reachable & ~self.escaped}
+
     def aggregates(self) -> dict:
         return {
             "devices": int(self.targets.size),
@@ -294,6 +351,8 @@ class ProgramReport:
             "mean_iterations": self.mean_iterations,
             "max_abs_rel_error": self.max_abs_rel_error(),
             "unattainable": int((~self.attainable).sum()),
+            "failure_causes": {cause: int(mask.sum()) for cause, mask
+                               in self.failure_causes().items()},
         }
 
 

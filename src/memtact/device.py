@@ -15,6 +15,7 @@ device-to-device population sampling.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 from dataclasses import dataclass, asdict
 from pathlib import Path
@@ -176,46 +177,56 @@ def simulate_trace(params: DeviceParams, scheme: PulseScheme, w0: float,
     return Trace(samples=out)
 
 
+@functools.lru_cache(maxsize=16)
+def _exponents(k: int) -> np.ndarray:
+    """Read-only arange(k + 1), shared by every model trace of a scheme."""
+    e = np.arange(k + 1)
+    e.flags.writeable = False
+    return e
+
+
 def _noise_free_samples(gu: float, gd: float, b_lo: float, b_hi: float,
-                        scheme: PulseScheme, w0: float) -> np.ndarray:
+                        scheme: PulseScheme, w0: float,
+                        out: np.ndarray | None = None) -> np.ndarray:
     """Closed-form noise-free trace; requires 0 < gu, gd < 1.
 
     Constant-polarity runs follow a geometric approach to the bound. For the
     alternating run, one up-down pair is the affine map w -> r*w + c with
-    r = (1-gu)(1-gd), which is iterated in closed form as well.
+    r = (1-gu)(1-gd), which is iterated in closed form as well. The trace is
+    written into `out` (total_pulses() + 1 floats) when given.
     """
+    if out is None:
+        out = np.empty(scheme.total_pulses() + 1)
     au, ad = 1.0 - gu, 1.0 - gd
     cu, cd = gu * b_hi, gd * b_lo
-    chunks = [np.array([w0])]
-    w = w0
+    out[0] = w = w0
+    i = 1
     for _ in range(scheme.batches):
-        k = scheme.up_per_batch
-        if k:
-            seg = b_hi - (b_hi - w) * au ** np.arange(1, k + 1)
-            w = seg[-1]
-            chunks.append(seg)
-        k = scheme.down_per_batch
-        if k:
-            seg = b_lo - (b_lo - w) * ad ** np.arange(1, k + 1)
-            w = seg[-1]
-            chunks.append(seg)
+        for k, a, bound in ((scheme.up_per_batch, au, b_hi),
+                            (scheme.down_per_batch, ad, b_lo)):
+            if k:
+                seg = out[i:i + k]
+                np.power(a, _exponents(k)[1:], out=seg)
+                seg *= bound - w
+                np.subtract(bound, seg, out=seg)
+                w = seg[-1]
+                i += k
         n_alt = scheme.alternating_per_batch
         if n_alt:
             pairs, rem = divmod(n_alt, 2)
             r = au * ad
             one_minus_r = gu + gd - gu * gd  # 1 - r without cancellation
             c = ad * cu + cd
-            rn = r ** np.arange(pairs + 1)
+            rn = r ** _exponents(pairs)
             wn = rn * w + c * (1.0 - rn) / one_minus_r
-            seg = np.empty(2 * pairs)
-            seg[0::2] = au * wn[:pairs] + cu
-            seg[1::2] = wn[1:]
+            out[i:i + 2 * pairs:2] = au * wn[:pairs] + cu
+            out[i + 1:i + 2 * pairs:2] = wn[1:]
             w = wn[-1]
-            chunks.append(seg)
+            i += 2 * pairs
             if rem:
-                w = au * w + cu
-                chunks.append(np.array([w]))
-    return np.concatenate(chunks)
+                out[i] = w = au * w + cu
+                i += 1
+    return out
 
 
 @dataclass(frozen=True)
@@ -252,6 +263,7 @@ def fit_softbounds(trace: Trace, scheme: PulseScheme, *, restarts: int = 8,
         raise ValueError("trace has no dynamic range, nothing to fit")
     w0 = float(samples[0])
     big = 1e30
+    buf = np.empty(samples.size)
 
     def objective(p):
         gu, gd, b_lo, b_hi = p
@@ -262,8 +274,11 @@ def fit_softbounds(trace: Trace, scheme: PulseScheme, *, restarts: int = 8,
         # keep at least two resolvable states
         if (b_hi - b_lo) < (gu * b_hi - gd * b_lo):
             return big
-        model = _noise_free_samples(gu, gd, b_lo, b_hi, scheme, w0)
-        return float(np.mean(np.abs(model - samples)))
+        # mean absolute deviation, computed in place
+        _noise_free_samples(gu, gd, b_lo, b_hi, scheme, w0, out=buf)
+        np.subtract(buf, samples, out=buf)
+        np.abs(buf, out=buf)
+        return float(buf.sum() / buf.size)
 
     rng = np.random.default_rng(seed)
     b_hi0 = hi + 0.05 * span if hi > 0 else 0.05 * span

@@ -295,9 +295,13 @@ def read_gestures_jsonl(path) -> list[GestureSeries]:
                 rec = json.loads(line)
                 if not isinstance(rec, dict):
                     raise TypeError("not a JSON object")
+                label = rec["label"]
+                # int() would truncate 3.7 to 3 and turn true into 1
+                if isinstance(label, bool) or not isinstance(label, int):
+                    raise TypeError(f"label {label!r} is not an integer")
                 gestures.append(GestureSeries(
                     frames=np.asarray(rec["frames"], dtype=np.float64),
-                    label=int(rec["label"]), speed=rec["speed"]))
+                    label=label, speed=rec["speed"]))
             except KeyError as e:
                 raise ValueError(
                     f"{path}, line {lineno}: missing field {e}") from None

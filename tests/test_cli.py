@@ -73,6 +73,23 @@ def test_extract_rejects_malformed_record(tmp_path, record):
     assert "\n" not in message
 
 
+@pytest.mark.parametrize("label", ["3.7", "true", '"3"'],
+                         ids=["float_label", "bool_label", "string_label"])
+def test_extract_rejects_non_integer_label(tmp_path, label):
+    record = GOOD_RECORD.replace('"label": 1', f'"label": {label}')
+    assert record != GOOD_RECORD
+    data = tmp_path / "bad.jsonl"
+    data.write_text(GOOD_RECORD + "\n" + record + "\n")
+    with pytest.raises(SystemExit) as exc:
+        run("extract-features", "--data", data, "--out", tmp_path / "f.csv")
+    message = str(exc.value)
+    assert message.startswith("error:")
+    assert "bad.jsonl, line 2" in message
+    assert f"label {json.loads(label)!r} is not an integer" in message
+    assert "\n" not in message
+    assert not (tmp_path / "f.csv").exists()
+
+
 def test_cli_import_leaves_scipy_unloaded():
     """Only fit-device needs scipy, so it must not load at import time."""
     src = Path(memtact.__file__).resolve().parent.parent
@@ -110,7 +127,12 @@ def test_full_pipeline_train_program_infer(tmp_path, small_features, capsys):
                "--seed", 1) == 0
     agg = json.loads(summary.read_text())
     assert len(agg["layers"]) == 1
-    assert agg["layers"][0]["converged_fraction"] > 0.9
+    layer = agg["layers"][0]
+    assert layer["converged_fraction"] > 0.9
+    causes = layer["failure_causes"]
+    assert set(causes) == {"unattainable", "bouncing", "out_of_pulses"}
+    assert sum(causes.values()) == round(
+        layer["devices"] * (1.0 - layer["converged_fraction"]))
     assert report.read_text().count("\n") == 2 + 38 * 5  # comment + header
 
     out = tmp_path / "infer.json"

@@ -4,8 +4,11 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memtact.crossbar import (
+    ESCAPE_AFTER_FLIPS,
     AnalogTile,
     load_tile,
     map_weights_to_targets,
@@ -320,6 +323,34 @@ def test_program_converges_over_unseen_seeds():
     assert min(fractions) >= 0.99
 
 
+def test_program_failure_causes_partition_unconverged_devices():
+    # the noise-free 2-cycle device of the escape test: out of pulses before
+    # its first escape, bouncing after it; a target past b_max is unattainable
+    gu, gd = gammas_from_stats(10.0, 0.1)
+    params = DeviceParams(gamma_up=gu, gamma_down=gd, sigma_c2c=0.0)
+    targets = np.array([[0.1, 1.5]])
+    for max_iter, cause in ((3, "out_of_pulses"), (4, "bouncing")):
+        report = AnalogTile.uniform(1, 2, params).program_and_verify(
+            targets, max_iter=max_iter)
+        masks = report.failure_causes()
+        assert masks[cause][0, 0] and masks["unattainable"][0, 1]
+        assert sum(m.astype(int) for m in masks.values()).tolist() == [[1, 1]]
+        counts = report.aggregates()["failure_causes"]
+        assert counts == {"unattainable": 1, "bouncing": 0,
+                          "out_of_pulses": 0, cause: 1}
+
+    tile = AnalogTile.from_distribution(30, 30, default_distribution(),
+                                        seed=3)
+    targets = derive_rng(3, 5).uniform(-1.2, 1.2, size=(30, 30))
+    report = tile.program_and_verify(targets, max_iter=40)
+    total = sum(m.astype(int) for m in report.failure_causes().values())
+    assert np.array_equal(total, (~report.converged).astype(int))
+    assert report.escaped[report.converged].any()  # escapes also converge
+    counts = report.aggregates()["failure_causes"]
+    assert sum(counts.values()) == int((~report.converged).sum()) > 0
+    assert min(counts.values()) > 0
+
+
 def test_program_validation():
     tile = AnalogTile.uniform(2, 2, SYM)
     with pytest.raises(ValueError):
@@ -328,6 +359,143 @@ def test_program_validation():
         tile.program_and_verify(np.zeros((2, 2)), epsilon=0.0)
     with pytest.raises(ValueError):
         tile.program_and_verify(np.zeros((2, 2)), max_iter=0)
+
+
+# -- active-set programming against the full-tile reference -----------------
+
+
+def reference_apply_pulses(tile, up_mask, down_mask, rng):
+    """The mask-based soft-bounds pulse as the tile once ran it."""
+    for mask, gamma, bound in ((up_mask, tile._gu, tile._b_hi),
+                               (down_mask, tile._gd, tile._b_lo)):
+        n = int(np.count_nonzero(mask))
+        if n:
+            xi = rng.standard_normal(n)
+            m = mask
+            step = gamma[m] * (1.0 + tile._sig[m] * xi)
+            tile._w[m] = np.clip(tile._w[m] + step * (bound[m] - tile._w[m]),
+                                 tile._b_lo[m], tile._b_hi[m])
+
+
+def reference_program(tile, targets, epsilon=0.02, max_iter=200, rng=None):
+    """Full-tile program-and-verify: every iteration masks the whole tile.
+
+    Returns (achieved, iterations, converged, escaped).
+    """
+    rng = tile._rng if rng is None else rng
+    floor = 0.005 * (tile.nominal_b_max - tile.nominal_b_min)
+    tol = np.maximum(epsilon * np.abs(targets), floor)
+    iterations = np.zeros(tile.shape, dtype=np.int64)
+    escaped = np.zeros(tile.shape, dtype=bool)
+    active = np.abs(tile._w - targets) > tol
+    below = tile._w < targets
+    flips = np.zeros(tile.shape, dtype=np.int8)
+    for _ in range(max_iter):
+        if not active.any():
+            break
+        escape = flips >= ESCAPE_AFTER_FLIPS
+        flips[escape] = 0
+        escaped |= escape & active
+        up_mask = active & (below ^ escape)
+        down_mask = active ^ up_mask
+        reference_apply_pulses(tile, up_mask, down_mask, rng)
+        iterations[active] += 1
+        now_below = tile._w < targets
+        flips += now_below ^ below
+        below = now_below
+        active &= np.abs(tile._w - targets) > tol
+    return tile.read_weights(), iterations, ~active, escaped
+
+
+@st.composite
+def programming_cases(draw):
+    rows, cols = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    sigma = draw(st.sampled_from([0.0, 0.05, 0.3]))
+    seed = draw(st.integers(0, 2**16))
+    # targets up to 1.3 in magnitude: some lie outside the unit bounds
+    reach = draw(st.sampled_from([0.9, 1.3]))
+    max_iter = draw(st.sampled_from([1, 2, 5, 17, 200]))
+    epsilon = draw(st.sampled_from([0.005, 0.02, 0.1]))
+    start = draw(st.sampled_from(["zero", "random", "at_target"]))
+    explicit = draw(st.booleans())
+    return rows, cols, sigma, seed, reach, max_iter, epsilon, start, explicit
+
+
+def make_programming_case(rows, cols, sigma, seed, reach, start):
+    tile = AnalogTile.from_distribution(rows, cols, default_distribution(),
+                                        seed=seed, sigma_c2c=sigma)
+    rng = derive_rng(seed, 1)
+    targets = rng.uniform(-reach, reach, size=(rows, cols))
+    if start == "random":
+        tile.set_weights(rng.uniform(-1.0, 1.0, size=(rows, cols)))
+    elif start == "at_target":
+        # about half the devices start inside their band
+        tile.set_weights(np.where(rng.random((rows, cols)) < 0.5, targets,
+                                  0.0))
+    return tile, targets
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(case=programming_cases())
+def test_active_set_program_matches_full_tile_reference(case):
+    rows, cols, sigma, seed, reach, max_iter, epsilon, start, explicit = case
+    tiles = [make_programming_case(rows, cols, sigma, seed, reach, start)
+             for _ in range(2)]
+    rngs = [derive_rng(seed, 2) if explicit else None for _ in range(2)]
+    (ref_tile, targets), (tile, _) = tiles
+    achieved, iterations, converged, escaped = reference_program(
+        ref_tile, targets, epsilon, max_iter, rngs[0])
+    report = tile.program_and_verify(targets, epsilon=epsilon,
+                                     max_iter=max_iter, rng=rngs[1])
+    assert np.array_equal(report.achieved, achieved)
+    assert np.array_equal(report.iterations, iterations)
+    assert np.array_equal(report.converged, converged)
+    assert np.array_equal(report.escaped, escaped)
+    assert np.array_equal(tile.read_weights(), achieved)
+    used = [r if explicit else t._rng for r, t in zip(rngs, (ref_tile, tile))]
+    assert used[0].bit_generator.state == used[1].bit_generator.state
+    if explicit:
+        # the tile's own stream is untouched
+        fresh, _ = make_programming_case(rows, cols, sigma, seed, reach, start)
+        assert tile._rng.bit_generator.state == fresh._rng.bit_generator.state
+
+
+def test_apply_pulses_matches_mask_reference():
+    rng = derive_rng(12, 0)
+    for shape in ((1, 1), (3, 7), (16, 5)):
+        tiles = [random_tile(*shape, derive_rng(12, 1)) for _ in range(2)]
+        for _ in range(20):
+            fire = rng.random(shape) < 0.4
+            up = fire & (rng.random(shape) < 0.5)
+            tiles[0].apply_pulses(up, fire ^ up)
+            reference_apply_pulses(tiles[1], up, fire ^ up, tiles[1]._rng)
+        assert np.array_equal(tiles[0].read_weights(),
+                              tiles[1].read_weights())
+        assert (tiles[0]._rng.bit_generator.state
+                == tiles[1]._rng.bit_generator.state)
+
+
+def test_program_on_fortran_ordered_inputs_matches_c_order():
+    # the flat-index kernel needs C-ordered state; transposed inputs must not
+    # detach the state from the grid it indexes
+    rng = derive_rng(13, 0)
+    gu, gd = (np.asfortranarray(rng.uniform(0.02, 0.2, (6, 4)))
+              for _ in range(2))
+    bounds = np.full((6, 4), 1.0)
+    tiles = [AnalogTile(gu, gd, -bounds, bounds, np.full((6, 4), 0.05),
+                        seed=4),
+             AnalogTile(np.ascontiguousarray(gu), np.ascontiguousarray(gd),
+                        -bounds, bounds, np.full((6, 4), 0.05), seed=4)]
+    start = rng.uniform(-0.5, 0.5, (4, 6)).T
+    targets = rng.uniform(-0.8, 0.8, (6, 4))
+    reports = []
+    for tile, w in zip(tiles, (start, np.ascontiguousarray(start))):
+        tile.set_weights(w)
+        reports.append(tile.program_and_verify(np.asfortranarray(targets)))
+        assert np.array_equal(tile.read_weights(), reports[-1].achieved)
+    assert reports[0].mean_iterations > 0
+    assert np.array_equal(reports[0].achieved, reports[1].achieved)
+    assert np.array_equal(reports[0].iterations, reports[1].iterations)
 
 
 # -- serialization ----------------------------------------------------------

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memtact.data import derive_rng
 from memtact.device import (
+    _noise_free_samples,
     DeviceDistribution,
     DeviceParams,
     DeviceState,
@@ -155,6 +158,27 @@ def test_trace_matches_per_pulse_oracle():
             w = min(max(w, b_lo), b_hi)
             expected.append(w)
         assert np.array_equal(trace.samples, np.asarray(expected))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(gu=st.floats(1e-4, 0.9), gd=st.floats(1e-4, 0.9),
+       b_lo=st.floats(-2.0, -0.05), b_hi=st.floats(0.05, 2.0),
+       start=st.floats(0.0, 1.0),
+       layout=st.tuples(st.integers(0, 3), st.integers(0, 9),
+                        st.integers(0, 9), st.integers(0, 25)))
+def test_closed_form_trace_into_buffer_matches_fresh_and_oracle(
+        gu, gd, b_lo, b_hi, start, layout):
+    """Writing into a reused buffer changes no bit; both track the loop."""
+    scheme = PulseScheme(*layout)
+    w0 = min(max(b_lo + start * (b_hi - b_lo), b_lo), b_hi)
+    fresh = _noise_free_samples(gu, gd, b_lo, b_hi, scheme, w0)
+    buf = np.full(scheme.total_pulses() + 1, np.nan)
+    into = _noise_free_samples(gu, gd, b_lo, b_hi, scheme, w0, out=buf)
+    assert into is buf
+    assert np.array_equal(into, fresh)
+    params = make_params(gu=gu, gd=gd, b_min=b_lo, b_max=b_hi)
+    oracle = simulate_trace(params, scheme, w0, derive_rng(0, 0)).samples
+    np.testing.assert_allclose(fresh, oracle, rtol=0, atol=1e-9)
 
 
 def test_simulate_rejects_out_of_bounds_start():
