@@ -131,14 +131,8 @@ def cmd_simulate_trace(args) -> int:
                                       derive_rng(int(cfg["seed"]), 0))
     except ValueError as e:
         raise SystemExit(f"error: {e}")
-    with open(args.out, "w") as fh:
-        fh.write(f"# config_hash={_config_hash(cfg)}\n")
-    with open(args.out, "a", newline="") as fh:
-        import csv as _csv
-        writer = _csv.writer(fh)
-        writer.writerow(["pulse_index", "conductance"])
-        for i, v in enumerate(trace.samples):
-            writer.writerow([i, repr(float(v))])
+    device.write_trace_csv(trace, args.out,
+                           header_lines=[f"config_hash={_config_hash(cfg)}"])
     log.info("wrote %d trace samples to %s", len(trace), args.out)
     return 0
 

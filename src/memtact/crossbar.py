@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -40,6 +41,11 @@ class UpdateStats:
     scale_d: float
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 class AnalogTile:
     """Grid of soft-bounds devices holding one weight matrix.
 
@@ -66,6 +72,9 @@ class AnalogTile:
         if np.any(self._sig < 0):
             raise ValueError("sigma_c2c must be non-negative")
         self._w = np.zeros(shape)
+        # per-device constants of the immutable parameters, made on first use
+        self._midpoint = None
+        self._symmetry = None
         self._scale_x = 0.0
         self._scale_d = 0.0
         self.seed = int(seed)
@@ -143,17 +152,24 @@ class AnalogTile:
         self._w = np.ascontiguousarray(np.clip(w, self._b_lo, self._b_hi))
 
     def midpoint_step(self) -> np.ndarray:
-        """Per-device mean noise-free step magnitude at w = 0."""
-        return 0.5 * (self._gu * self._b_hi - self._gd * self._b_lo)
+        """Per-device mean noise-free step magnitude at w = 0 (read-only)."""
+        if self._midpoint is None:
+            self._midpoint = _read_only(
+                0.5 * (self._gu * self._b_hi - self._gd * self._b_lo))
+        return self._midpoint
 
     def symmetry_point(self) -> np.ndarray:
         """State where one up and one down pulse cancel on average.
 
         Alternating-polarity pulsing settles every device here; gradient
-        accumulators treat it as their calibrated zero reference.
+        accumulators treat it as their calibrated zero reference. The array
+        is computed once per tile and is read-only.
         """
-        return (self._gu * self._b_hi + self._gd * self._b_lo) \
-            / (self._gu + self._gd)
+        if self._symmetry is None:
+            self._symmetry = _read_only(
+                (self._gu * self._b_hi + self._gd * self._b_lo)
+                / (self._gu + self._gd))
+        return self._symmetry
 
     # -- writes -----------------------------------------------------------
 
@@ -195,30 +211,43 @@ class AnalogTile:
         with min(1, sqrt(lr)|d_j|/s_d); a device pulses only on coincidence,
         at most once, with polarity -sign(x_i d_j). s_x and s_d are running
         maxima of the input magnitudes, kept on the tile.
+
+        One uniform draw per row, then one per column, decides the firing,
+        and the pulse kernel draws one normal per pulsed device in
+        row-major order, up before down: the noise draws of a full-tile
+        coincidence mask. Only the fired rows x fired columns are visited,
+        so past the two draws the work scales with the pulses that fire.
         """
         x = np.asarray(x, dtype=np.float64)
         d = np.asarray(d, dtype=np.float64)
-        if x.shape != (self.rows,) or d.shape != (self.cols,):
+        rows, cols = self._w.shape
+        if x.shape != (rows,) or d.shape != (cols,):
             raise ValueError("x and d must match the tile dimensions")
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(d))):
+        abs_x, abs_d = np.abs(x), np.abs(d)
+        max_x = float(abs_x.max(initial=0.0))
+        max_d = float(abs_d.max(initial=0.0))
+        # max propagates NaN and |+-inf| is inf, so the maxima are finite
+        # exactly when every entry is
+        if not (max_x < math.inf and max_d < math.inf):
             raise ValueError("update vectors must be finite")
         if lr < 0:
             raise ValueError("lr must be non-negative")
-        self._scale_x = max(self._scale_x, float(np.abs(x).max(initial=0.0)))
-        self._scale_d = max(self._scale_d, float(np.abs(d).max(initial=0.0)))
+        self._scale_x = max(self._scale_x, max_x)
+        self._scale_d = max(self._scale_d, max_d)
         if lr == 0.0 or self._scale_x == 0.0 or self._scale_d == 0.0:
             return UpdateStats(0, 0, self._scale_x, self._scale_d)
         rng = self._rng if rng is None else rng
-        root = np.sqrt(lr)
-        p = np.minimum(1.0, root * np.abs(x) / self._scale_x)
-        q = np.minimum(1.0, root * np.abs(d) / self._scale_d)
-        fired = np.outer(rng.random(self.rows) < p, rng.random(self.cols) < q)
-        grad_sign = np.outer(np.sign(x), np.sign(d))
-        up_mask = fired & (grad_sign < 0)
-        down_mask = fired & (grad_sign > 0)
-        self.apply_pulses(up_mask, down_mask, rng)
-        return UpdateStats(int(up_mask.sum()), int(down_mask.sum()),
-                           self._scale_x, self._scale_d)
+        root = math.sqrt(lr)
+        # a uniform draw in [0, 1) is below min(1, p) exactly when below p
+        r = (rng.random(rows) < root * abs_x / self._scale_x).nonzero()[0]
+        c = (rng.random(cols) < root * abs_d / self._scale_d).nonzero()[0]
+        if not (r.size and c.size):
+            return UpdateStats(0, 0, self._scale_x, self._scale_d)
+        flat = (r * cols)[:, None] + c
+        grad_sign = np.sign(x[r])[:, None] * np.sign(d[c])
+        up, down = flat[grad_sign < 0], flat[grad_sign > 0]
+        self._pulse(up, down, rng)
+        return UpdateStats(up.size, down.size, self._scale_x, self._scale_d)
 
     def program_and_verify(self, targets: np.ndarray, epsilon: float = 0.02,
                            max_iter: int = 200, rng=None) -> "ProgramReport":

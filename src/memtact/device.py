@@ -426,8 +426,10 @@ def sample_stats_grid(dist: DeviceDistribution, count: int,
 # file formats
 
 
-def write_trace_csv(trace: Trace, path) -> None:
+def write_trace_csv(trace: Trace, path, header_lines=()) -> None:
     with open(path, "w", newline="") as fh:
+        for line in header_lines:
+            fh.write(f"# {line}\n")
         writer = csv.writer(fh)
         writer.writerow(["pulse_index", "conductance"])
         for i, v in enumerate(trace.samples):

@@ -22,7 +22,8 @@ import numpy as np
 from .crossbar import AnalogTile, ProgramReport, map_weights_to_targets, \
     weight_map_affine
 from .data import Dataset, FeatureScaler, derive_rng
-from .device import DeviceDistribution, default_distribution
+from .device import DEFAULT_SIGMA_C2C, DeviceDistribution, \
+    default_distribution
 
 
 @dataclass(frozen=True)
@@ -320,7 +321,6 @@ def init_ttv2(spec: NetworkSpec, dist: DeviceDistribution, cfg: TrainConfig,
     per-device symmetry point, which also serves as the zero reference
     for transfer reads.
     """
-    from .device import DEFAULT_SIGMA_C2C
     if sigma_c2c is None:
         sigma_c2c = DEFAULT_SIGMA_C2C
     init_rng = derive_rng(cfg.seed, 2)
@@ -456,7 +456,6 @@ def program_network(net: Network, dist: DeviceDistribution | None = None, *,
     range and written with closed-loop pulses; the inverse affine map is
     stored so analog scores track the digital ones up to programming error.
     """
-    from .device import DEFAULT_SIGMA_C2C
     if dist is None:
         dist = default_distribution()
     if sigma_c2c is None:

@@ -208,6 +208,26 @@ def test_simulate_and_fit_cycle(tmp_path):
     assert lo <= dist.mean[0] <= hi
 
 
+def test_simulate_trace_file_bytes(tmp_path):
+    """The trace CSV, config-hash comment included, byte for byte."""
+    params = device.DeviceParams(gamma_up=0.1, gamma_down=0.08,
+                                 sigma_c2c=0.05)
+    params_path = tmp_path / "p.json"
+    device.write_device_params(params, params_path)
+    out = tmp_path / "t.csv"
+    assert run("simulate-trace", "--params", params_path, "--scheme",
+               "1,2,2,1", "--seed", 3, "--w0", 0.1, "--out", out) == 0
+    assert out.read_bytes() == (
+        b"# config_hash=afb854bfb16e\n"
+        b"pulse_index,conductance\r\n"
+        b"0,0.1\r\n"
+        b"1,0.19918413604623333\r\n"
+        b"2,0.2690326369414685\r\n"
+        b"3,0.16538770165830058\r\n"
+        b"4,0.07480337239106401\r\n"
+        b"5,0.1652290871592068\r\n")
+
+
 def test_fit_device_distribution_needs_two_traces(tmp_path):
     p = device.DeviceParams(gamma_up=0.09, gamma_down=0.09, sigma_c2c=0.0)
     params_path = tmp_path / "p.json"

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from memtact.crossbar import (
     ESCAPE_AFTER_FLIPS,
     AnalogTile,
+    UpdateStats,
     load_tile,
     map_weights_to_targets,
     save_tile,
@@ -110,6 +111,19 @@ def test_midpoint_step_and_symmetry_point():
     tile = AnalogTile.uniform(2, 3, params)
     assert np.allclose(tile.midpoint_step(), 0.1)
     assert np.allclose(tile.symmetry_point(), 0.5)
+    # computed once per tile, read-only, equal to the closed forms
+    rng = derive_rng(5, 0)
+    noisy = random_tile(4, 7, rng)
+    for got, closed in ((noisy.midpoint_step(),
+                         reference_midpoint_step(noisy)),
+                        (noisy.symmetry_point(),
+                         reference_symmetry_point(noisy))):
+        assert np.array_equal(got, closed)
+        with pytest.raises(ValueError):
+            got[0, 0] = 0.0
+        assert np.array_equal(got, closed)
+    assert noisy.midpoint_step() is noisy.midpoint_step()
+    assert noisy.symmetry_point() is noisy.symmetry_point()
     # at the symmetry point one up and one down step cancel to first order
     tile.set_weights(tile.symmetry_point())
     full = np.ones((2, 3), dtype=bool)
@@ -210,6 +224,15 @@ def test_update_validation():
         tile.stochastic_update(np.zeros(2), np.zeros(2), -0.1)
     with pytest.raises(ValueError):
         tile.stochastic_update(np.array([np.inf, 0.0]), np.zeros(2), 0.1)
+    with pytest.raises(ValueError):
+        tile.stochastic_update(np.array([np.nan, 1.0]), np.ones(2), 0.1)
+    with pytest.raises(ValueError):
+        tile.stochastic_update(np.ones(2), np.array([1.0, np.nan]), 0.1)
+    with pytest.raises(ValueError):
+        tile.stochastic_update(np.ones(2), np.array([-np.inf, 1.0]), 0.1)
+    # rejected calls leave the running scales alone
+    assert tile.stochastic_update(np.zeros(2), np.zeros(2), 0.1) \
+        == UpdateStats(0, 0, 0.0, 0.0)
 
 
 def test_same_stream_reproduces_update_sequence():
@@ -473,6 +496,98 @@ def test_apply_pulses_matches_mask_reference():
                               tiles[1].read_weights())
         assert (tiles[0]._rng.bit_generator.state
                 == tiles[1]._rng.bit_generator.state)
+
+
+# -- sparse coincidence update against the mask-based reference ------------
+
+
+def reference_midpoint_step(tile):
+    return 0.5 * (tile._gu * tile._b_hi - tile._gd * tile._b_lo)
+
+
+def reference_symmetry_point(tile):
+    return (tile._gu * tile._b_hi + tile._gd * tile._b_lo) \
+        / (tile._gu + tile._gd)
+
+
+def reference_stochastic_update(tile, x, d, lr, rng=None):
+    """The coincidence update as the tile once ran it: full-tile masks."""
+    x = np.asarray(x, dtype=np.float64)
+    d = np.asarray(d, dtype=np.float64)
+    if x.shape != (tile.rows,) or d.shape != (tile.cols,):
+        raise ValueError("x and d must match the tile dimensions")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(d))):
+        raise ValueError("update vectors must be finite")
+    if lr < 0:
+        raise ValueError("lr must be non-negative")
+    tile._scale_x = max(tile._scale_x, float(np.abs(x).max(initial=0.0)))
+    tile._scale_d = max(tile._scale_d, float(np.abs(d).max(initial=0.0)))
+    if lr == 0.0 or tile._scale_x == 0.0 or tile._scale_d == 0.0:
+        return UpdateStats(0, 0, tile._scale_x, tile._scale_d)
+    rng = tile._rng if rng is None else rng
+    root = np.sqrt(lr)
+    p = np.minimum(1.0, root * np.abs(x) / tile._scale_x)
+    q = np.minimum(1.0, root * np.abs(d) / tile._scale_d)
+    fired = np.outer(rng.random(tile.rows) < p, rng.random(tile.cols) < q)
+    grad_sign = np.outer(np.sign(x), np.sign(d))
+    up_mask = fired & (grad_sign < 0)
+    down_mask = fired & (grad_sign > 0)
+    tile.apply_pulses(up_mask, down_mask, rng)
+    return UpdateStats(int(up_mask.sum()), int(down_mask.sum()),
+                       tile._scale_x, tile._scale_d)
+
+
+def update_vector(kind, n, rng):
+    v = rng.standard_normal(n)
+    if kind == "sparse":  # zeros, -0.0 among them, between mixed signs
+        return v * (rng.random(n) < 0.5)
+    if kind == "zero":
+        return np.zeros(n)
+    if kind == "positive":
+        return np.abs(v)
+    if kind == "tiny":  # far below the running scale: rare rows fire
+        return 1e-3 * v
+    return v
+
+
+@st.composite
+def update_cases(draw):
+    rows, cols = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    sigma = draw(st.sampled_from([0.0, 0.05, 0.3]))
+    seed = draw(st.integers(0, 2**16))
+    kinds = st.sampled_from(["mixed", "sparse", "zero", "positive", "tiny"])
+    # lr 0 moves nothing; lr >= 1 saturates the firing probabilities
+    lrs = st.sampled_from([0.0, 0.002, 0.05, 0.5, 1.0, 4.0])
+    calls = draw(st.lists(st.tuples(kinds, kinds, lrs), min_size=1,
+                          max_size=10))
+    explicit = draw(st.booleans())
+    return rows, cols, sigma, seed, calls, explicit
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(case=update_cases())
+def test_sparse_update_matches_mask_reference(case):
+    rows, cols, sigma, seed, calls, explicit = case
+    tiles = [random_tile(rows, cols, derive_rng(seed, 0), sigma)
+             for _ in range(2)]
+    rngs = [derive_rng(seed, 2) if explicit else None for _ in range(2)]
+    vectors = derive_rng(seed, 1)
+    for kind_x, kind_d, lr in calls:
+        x = update_vector(kind_x, rows, vectors)
+        d = update_vector(kind_d, cols, vectors)
+        want = reference_stochastic_update(tiles[0], x, d, lr, rngs[0])
+        got = tiles[1].stochastic_update(x, d, lr, rngs[1])
+        assert got == want
+        assert type(got.pulses_up) is int and type(got.pulses_down) is int
+        assert np.array_equal(tiles[1].read_weights(),
+                              tiles[0].read_weights())
+    used = [r if explicit else t._rng for r, t in zip(rngs, tiles)]
+    assert used[0].bit_generator.state == used[1].bit_generator.state
+    if explicit:
+        # the tile's own stream is untouched
+        fresh = random_tile(rows, cols, derive_rng(seed, 0), sigma)
+        assert tiles[1]._rng.bit_generator.state \
+            == fresh._rng.bit_generator.state
 
 
 def test_program_on_fortran_ordered_inputs_matches_c_order():

@@ -322,6 +322,10 @@ def test_trace_csv_roundtrip(tmp_path):
     write_trace_csv(trace, path)
     back = read_trace_csv(path)
     assert np.array_equal(back.samples, trace.samples)
+    commented = tmp_path / "commented.csv"
+    write_trace_csv(trace, commented, header_lines=["a=1", "b"])
+    assert commented.read_bytes() == b"# a=1\n# b\n" + path.read_bytes()
+    assert np.array_equal(read_trace_csv(commented).samples, trace.samples)
 
 
 def test_trace_csv_skips_comments_and_checks_header(tmp_path):

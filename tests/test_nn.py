@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from memtact.crossbar import AnalogTile
 from memtact.data import Dataset, FeatureScaler, derive_rng
 from memtact.device import DeviceDistribution, default_distribution
 from memtact.nn import (
@@ -341,6 +342,44 @@ def test_ttv2_run_is_reproducible():
         final.append((net.read_weight_matrices()[0], history.losses()))
     assert np.array_equal(final[0][0], final[1][0])
     assert np.array_equal(final[0][1], final[1][1])
+
+
+def test_ttv2_matches_mask_reference_update(monkeypatch):
+    """Sparse A-tile updates and memoized tile references change nothing.
+
+    The reference run swaps in the full-tile mask update and recomputes the
+    midpoint step and symmetry point on every call, as training once did.
+    """
+    from test_crossbar import (reference_midpoint_step,
+                               reference_stochastic_update,
+                               reference_symmetry_point)
+
+    rng = derive_rng(17, 0)
+    data = gaussian_clouds(8, rng.normal(0.0, 1.0, size=(5, 38)), 0.5, rng)
+    spec = NetworkSpec((38, 8, 5))
+    cfg = TrainConfig(mode="ttv2", epochs=2, lr=0.5, transfer_every=1,
+                      seed=4)
+    init = init_ttv2(spec, default_distribution(), cfg).net
+
+    def run():
+        net, history = train_ttv2(spec, data, default_distribution(), cfg,
+                                  test=data)
+        return ([t.read_weights() for t in net.tiles],
+                [b.copy() for b in net.biases], history.records)
+
+    new = run()
+    with monkeypatch.context() as m:
+        m.setattr(AnalogTile, "stochastic_update",
+                  reference_stochastic_update)
+        m.setattr(AnalogTile, "midpoint_step", reference_midpoint_step)
+        m.setattr(AnalogTile, "symmetry_point", reference_symmetry_point)
+        ref = run()
+    for got, want in zip(new[:2], ref[:2]):
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert new[2] == ref[2]
+    # the A tiles fired and transfers moved every weight tile
+    for w, tile in zip(new[0], init.tiles):
+        assert not np.array_equal(w, tile.read_weights())
 
 
 # -- programming a trained network -------------------------------------------
