@@ -202,9 +202,12 @@ def cmd_train(args) -> int:
     if cfg["lr"] is None:
         cfg["lr"] = 0.05 if mode == "fp_sgd" else 0.1
     lr = float(cfg["lr"])
-    tcfg = nn.TrainConfig(mode=mode, lr=lr, fast_lr=float(cfg["fast_lr"]),
-                          transfer_every=int(cfg["transfer_every"]),
-                          epochs=int(cfg["epochs"]), seed=int(cfg["seed"]))
+    try:
+        tcfg = nn.TrainConfig(mode=mode, lr=lr, fast_lr=float(cfg["fast_lr"]),
+                              transfer_every=int(cfg["transfer_every"]),
+                              epochs=int(cfg["epochs"]), seed=int(cfg["seed"]))
+    except ValueError as e:
+        raise SystemExit(f"error: {e}")
     chash = _config_hash(cfg)
     if mode == "fp_sgd":
         net = nn.Network(spec, seed=int(cfg["seed"]))
@@ -255,21 +258,8 @@ def cmd_program(args) -> int:
         log.info("layer %d: %.2f%% converged, %.1f mean iterations", l,
                  100 * r.converged_fraction, r.mean_iterations)
     if args.report_out:
-        import csv as _csv
-        with open(args.report_out, "w", newline="") as fh:
-            fh.write(f"# config_hash={chash}\n")
-            writer = _csv.writer(fh)
-            writer.writerow(["layer", "row", "col", "target", "achieved",
-                             "iterations", "converged"])
-            for l, rep in enumerate(reports):
-                rows, cols = rep.targets.shape
-                for i in range(rows):
-                    for j in range(cols):
-                        writer.writerow([
-                            l, i, j, repr(float(rep.targets[i, j])),
-                            repr(float(rep.achieved[i, j])),
-                            int(rep.iterations[i, j]),
-                            int(rep.converged[i, j])])
+        crossbar.write_program_report_csv(
+            reports, args.report_out, header_lines=[f"config_hash={chash}"])
     if args.summary_out:
         Path(args.summary_out).write_text(json.dumps(agg, indent=2) + "\n")
     log.info("wrote programmed model to %s", args.out)

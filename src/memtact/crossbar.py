@@ -71,6 +71,8 @@ class AnalogTile:
             raise ValueError("every device needs positive step coefficients")
         if np.any(self._sig < 0):
             raise ValueError("sigma_c2c must be non-negative")
+        # flat views of the immutable grids, for the pulse kernel
+        self._flat = tuple(a.reshape(-1) for a in arrays)
         self._w = np.zeros(shape)
         # per-device constants of the immutable parameters, made on first use
         self._midpoint = None
@@ -180,19 +182,17 @@ class AnalogTile:
         (bound - w), clipped to the device bounds, with one standard normal
         xi per pulsed device drawn in index order, up pulses before down.
         """
-        if not (up_idx.size or down_idx.size):
-            return
         w = self._w.reshape(-1)
-        lo, hi, sig = (a.reshape(-1) for a in (self._b_lo, self._b_hi,
-                                                 self._sig))
-        for idx, gamma, bound in ((up_idx, self._gu, hi),
-                                  (down_idx, self._gd, lo)):
+        gu, gd, lo, hi, sig = self._flat
+        for idx, gamma, bound in ((up_idx, gu, hi), (down_idx, gd, lo)):
             if idx.size:
                 xi = rng.standard_normal(idx.size)
-                step = gamma.reshape(-1)[idx] * (1.0 + sig[idx] * xi)
+                step = gamma[idx] * (1.0 + sig[idx] * xi)
                 w_i = w[idx]
-                w[idx] = np.clip(w_i + step * (bound[idx] - w_i), lo[idx],
-                                 hi[idx])
+                # np.clip without its wrapper layers; equal for finite values
+                w[idx] = np.minimum(
+                    np.maximum(w_i + step * (bound[idx] - w_i), lo[idx]),
+                    hi[idx])
 
     def apply_pulses(self, up_mask: np.ndarray, down_mask: np.ndarray,
                      rng=None) -> None:
@@ -212,11 +212,15 @@ class AnalogTile:
         at most once, with polarity -sign(x_i d_j). s_x and s_d are running
         maxima of the input magnitudes, kept on the tile.
 
-        One uniform draw per row, then one per column, decides the firing,
-        and the pulse kernel draws one normal per pulsed device in
-        row-major order, up before down: the noise draws of a full-tile
-        coincidence mask. Only the fired rows x fired columns are visited,
-        so past the two draws the work scales with the pulses that fire.
+        One draw of rows + cols uniforms decides the firing: the first rows
+        values gate the rows, the rest the columns, the same values and
+        generator state as a draw per row followed by a draw per column.
+        The columns are tested first, since a step usually fires none, and
+        the row thresholds are computed only when one fires. The pulse
+        kernel then draws one normal per pulsed device in row-major order,
+        up before down: the noise draws of a full-tile coincidence mask.
+        Only the fired rows x fired columns are visited, so past the draw
+        the work scales with the pulses that fire.
         """
         x = np.asarray(x, dtype=np.float64)
         d = np.asarray(d, dtype=np.float64)
@@ -224,8 +228,8 @@ class AnalogTile:
         if x.shape != (rows,) or d.shape != (cols,):
             raise ValueError("x and d must match the tile dimensions")
         abs_x, abs_d = np.abs(x), np.abs(d)
-        max_x = float(abs_x.max(initial=0.0))
-        max_d = float(abs_d.max(initial=0.0))
+        max_x = float(np.maximum.reduce(abs_x, initial=0.0))
+        max_d = float(np.maximum.reduce(abs_d, initial=0.0))
         # max propagates NaN and |+-inf| is inf, so the maxima are finite
         # exactly when every entry is
         if not (max_x < math.inf and max_d < math.inf):
@@ -238,10 +242,13 @@ class AnalogTile:
             return UpdateStats(0, 0, self._scale_x, self._scale_d)
         rng = self._rng if rng is None else rng
         root = math.sqrt(lr)
+        u = rng.random(rows + cols)
         # a uniform draw in [0, 1) is below min(1, p) exactly when below p
-        r = (rng.random(rows) < root * abs_x / self._scale_x).nonzero()[0]
-        c = (rng.random(cols) < root * abs_d / self._scale_d).nonzero()[0]
-        if not (r.size and c.size):
+        c = (u[rows:] < root * abs_d / self._scale_d).nonzero()[0]
+        if not c.size:
+            return UpdateStats(0, 0, self._scale_x, self._scale_d)
+        r = (u[:rows] < root * abs_x / self._scale_x).nonzero()[0]
+        if not r.size:
             return UpdateStats(0, 0, self._scale_x, self._scale_d)
         flat = (r * cols)[:, None] + c
         grad_sign = np.sign(x[r])[:, None] * np.sign(d[c])
@@ -471,28 +478,25 @@ def load_tile(path) -> AnalogTile:
     return tile_from_snapshot(json.loads(Path(path).read_text()))
 
 
-def write_program_report_csv(report: ProgramReport, path,
-                             header_lines=()) -> None:
-    rows, cols = report.targets.shape
+def write_program_report_csv(reports, path, header_lines=()) -> None:
+    """Per-device CSV of a network's programming, one report per layer.
+
+    Rows run over layers, then row-major over each tile's devices, with the
+    layer index in the first column.
+    """
     with open(path, "w", newline="") as fh:
         for line in header_lines:
             fh.write(f"# {line}\n")
         writer = csv.writer(fh)
-        writer.writerow(["row", "col", "target", "achieved", "iterations",
-                         "converged"])
-        for i in range(rows):
-            for j in range(cols):
-                writer.writerow([
-                    i, j, repr(float(report.targets[i, j])),
-                    repr(float(report.achieved[i, j])),
-                    int(report.iterations[i, j]),
-                    int(report.converged[i, j]),
-                ])
-
-
-def write_program_summary(report: ProgramReport, path,
-                          extra: dict | None = None) -> None:
-    payload = report.aggregates()
-    if extra:
-        payload.update(extra)
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+        writer.writerow(["layer", "row", "col", "target", "achieved",
+                         "iterations", "converged"])
+        for l, report in enumerate(reports):
+            rows, cols = report.targets.shape
+            for i in range(rows):
+                for j in range(cols):
+                    writer.writerow([
+                        l, i, j, repr(float(report.targets[i, j])),
+                        repr(float(report.achieved[i, j])),
+                        int(report.iterations[i, j]),
+                        int(report.converged[i, j]),
+                    ])

@@ -57,6 +57,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.mode not in ("fp_sgd", "ttv2"):
             raise ValueError("mode must be 'fp_sgd' or 'ttv2'")
+        if not (math.isfinite(self.lr) and math.isfinite(self.fast_lr)):
+            raise ValueError("learning rates must be finite")
         if self.lr < 0 or self.fast_lr < 0:
             raise ValueError("learning rates must be non-negative")
         if self.transfer_every < 1:
@@ -91,9 +93,10 @@ class TrainHistory:
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    # the ufunc reductions behind z.max and e.sum, without their wrappers
+    e = np.exp(z - np.maximum.reduce(z, axis=-1, keepdims=True))
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
+    return e
 
 
 def relu(z: np.ndarray) -> np.ndarray:
@@ -252,31 +255,25 @@ class AnalogNetwork:
         self.offsets = list(offsets) if offsets is not None \
             else [0.0] * spec.n_layers
 
-    def _undo_map(self, l: int, mac: np.ndarray, x_sum: float) -> np.ndarray:
+    def _undo_map(self, l: int, mac: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """(mac - offset * sum(x)) / scale: the MAC of x, one vector or a
+        batch of rows, through the effective weights (w - offset) / scale.
+        The sum is taken only for a nonzero offset; trained tiles have none.
+        """
         scale, offset = self.scales[l], self.offsets[l]
-        if scale == 1.0 and offset == 0.0:
-            return mac
-        return (mac - offset * x_sum) / scale
+        if offset:
+            mac = mac - offset * x.sum(axis=-1, keepdims=True)
+        return mac if scale == 1.0 else mac / scale
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        h = np.asarray(x, dtype=np.float64)
-        last = self.spec.n_layers - 1
-        for l, tile in enumerate(self.tiles):
-            h = self._undo_map(l, tile.forward_mac(h), float(h.sum())) \
-                + self.biases[l]
-            if l < last:
-                h = relu(h)
-        return h
+        return self.forward_batch(x)
 
     def forward_batch(self, x: np.ndarray) -> np.ndarray:
+        """Class scores for one sample or a batch of rows."""
         h = np.asarray(x, dtype=np.float64)
         last = self.spec.n_layers - 1
         for l, tile in enumerate(self.tiles):
-            mac = h @ tile.read_weights()
-            scale, offset = self.scales[l], self.offsets[l]
-            if not (scale == 1.0 and offset == 0.0):
-                mac = (mac - offset * h.sum(axis=1, keepdims=True)) / scale
-            h = mac + self.biases[l]
+            h = self._undo_map(l, h @ tile.read_weights(), h) + self.biases[l]
             if l < last:
                 h = relu(h)
         return h
@@ -360,6 +357,11 @@ def _transfer_column(state: TTv2State, l: int, cfg: TrainConfig,
     device's midpoint step), fires that many matching-sign pulses on W and
     is debited by the granted amount. H therefore carries pending weight
     motion and lr sets the rate at which A drains into W.
+
+    Every unit is positive, since the tile constructor requires positive
+    step coefficients and b_min < 0 < b_max, so the grants need no mask
+    for a zero unit. Pulse trains run in lockstep: round n fires the
+    devices granted more than n pulses.
     """
     k = state.cursors[l]
     a_tile = state.a_tiles[l]
@@ -367,25 +369,22 @@ def _transfer_column(state: TTv2State, l: int, cfg: TrainConfig,
     one_hot = np.zeros(a_tile.cols)
     one_hot[k] = 1.0
     read = a_tile.backward_mac(one_hot) - a_tile.symmetry_point()[:, k]
-    state.hidden[l][:, k] += cfg.lr * read
-    unit = w_tile.midpoint_step()[:, k]
     h_col = state.hidden[l][:, k]
-    valid = unit > 0
-    grants = np.zeros(h_col.shape, dtype=np.int64)
-    grants[valid] = (np.abs(h_col[valid]) // unit[valid]).astype(np.int64)
-    if grants.any():
+    h_col += cfg.lr * read
+    unit = w_tile.midpoint_step()[:, k]
+    grants = (np.abs(h_col) // unit).astype(np.int64)
+    rounds = int(np.maximum.reduce(grants))
+    if rounds:
         sign = np.sign(h_col)
         h_col -= sign * grants * unit
+        pos, neg = sign > 0, sign < 0
         up = np.zeros(w_tile.shape, dtype=bool)
         down = np.zeros(w_tile.shape, dtype=bool)
-        remaining = grants.copy()
-        # pulse trains run in lockstep, each round fires devices still owed
-        while remaining.any():
-            owed = remaining > 0
-            up[:, k] = owed & (sign > 0)
-            down[:, k] = owed & (sign < 0)
+        for n in range(rounds):
+            owed = grants > n
+            up[:, k] = owed & pos
+            down[:, k] = owed & neg
             w_tile.apply_pulses(up, down, rng)
-            remaining[owed] -= 1
     state.cursors[l] = (k + 1) % a_tile.cols
 
 
@@ -393,32 +392,35 @@ def ttv2_step(state: TTv2State, x: np.ndarray, y: int, cfg: TrainConfig,
               rng: np.random.Generator) -> float:
     """One sample of two-tile training; returns the cross-entropy loss."""
     net = state.net
-    last = net.spec.n_layers - 1
-    acts = [np.asarray(x, dtype=np.float64)]
-    pre = []
-    h = acts[0]
-    for l, tile in enumerate(net.tiles):
-        z = net._undo_map(l, tile.forward_mac(h), float(h.sum())) \
-            + net.biases[l]
-        pre.append(z)
-        h = relu(z) if l < last else z
-        acts.append(h)
-    p = softmax(pre[-1])
-    loss = -math.log(max(p[int(y)], 1e-300))
-    delta = p.copy()
-    delta[int(y)] -= 1.0
+    tiles, biases, a_tiles = net.tiles, net.biases, state.a_tiles
+    counters = state.counters
+    lr, fast_lr, every = cfg.lr, cfg.fast_lr, cfg.transfer_every
+    last = len(tiles) - 1
+    h = np.asarray(x, dtype=np.float64)
+    acts = [h]
+    for l, tile in enumerate(tiles):
+        h = net._undo_map(l, tile.forward_mac(h), h)
+        h += biases[l]
+        if l < last:
+            h = relu(h)
+            acts.append(h)
+    # h holds the logits; softmax returns a new array, used as the error
+    delta = softmax(h)
+    y = int(y)
+    loss = -math.log(max(delta[y], 1e-300))
+    delta[y] -= 1.0
     for l in range(last, -1, -1):
-        if cfg.fast_lr:
-            state.a_tiles[l].stochastic_update(acts[l], delta, cfg.fast_lr,
-                                               rng)
-        if cfg.lr:
-            net.biases[l] -= cfg.lr * delta
-        if l > 0:
-            back = net._undo_map(l, net.tiles[l].backward_mac(delta),
-                                 float(delta.sum()))
-            delta = back * (pre[l - 1] > 0)
-        state.counters[l] += 1
-        if cfg.lr and state.counters[l] % cfg.transfer_every == 0:
+        if fast_lr:
+            a_tiles[l].stochastic_update(acts[l], delta, fast_lr, rng)
+        if lr:
+            biases[l] -= lr * delta
+        if l:
+            # a hidden unit passes error where its ReLU output is positive,
+            # which is where its pre-activation was
+            delta = net._undo_map(l, tiles[l].backward_mac(delta), delta) \
+                * (acts[l] > 0)
+        counters[l] += 1
+        if lr and counters[l] % every == 0:
             _transfer_column(state, l, cfg, rng)
     return loss
 

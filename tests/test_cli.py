@@ -156,6 +156,45 @@ def test_train_ttv2_mode(tmp_path, small_features):
     assert net.weights[0].shape == (38, 5)
 
 
+@pytest.mark.parametrize("mode,flag,value", [
+    ("fp_sgd", "--lr", "nan"), ("ttv2", "--lr", "inf"),
+    ("ttv2", "--fast-lr", "-inf"), ("ttv2", "--fast-lr", "nan")])
+def test_train_rejects_non_finite_learning_rates(tmp_path, small_features,
+                                                 mode, flag, value):
+    model = tmp_path / "m.json"
+    with pytest.raises(SystemExit) as exc:
+        run("train", "--features", small_features, "--mode", mode,
+            "--epochs", 1, f"{flag}={value}", "--model-out", model)
+    message = str(exc.value)
+    assert message == "error: learning rates must be finite"
+    assert not model.exists()
+
+
+def test_program_report_file_bytes(tmp_path):
+    """The per-device programming CSV of a two-layer model, byte for byte."""
+    net = nn.Network(nn.NetworkSpec((3, 2, 2)), seed=0)
+    net.weights[0] = np.array([[0.5, -0.25], [0.125, 0.75], [-1.0, 0.0]])
+    net.weights[1] = np.array([[0.25, -0.5], [1.0, 0.375]])
+    model = tmp_path / "m.json"
+    nn.save_model(net, model, classes=[0, 1])
+    report = tmp_path / "r.csv"
+    assert run("program", "--model", model, "--seed", 3,
+               "--out", tmp_path / "p.json", "--report-out", report) == 0
+    assert report.read_bytes() == (
+        b"# config_hash=48414ec2a8c8\n"
+        b"layer,row,col,target,achieved,iterations,converged\r\n"
+        b"0,0,0,0.642857142857143,0.646777431718298,13,1\r\n"
+        b"0,0,1,-0.1285714285714285,-0.13675035071173264,2,1\r\n"
+        b"0,1,0,0.25714285714285723,0.26590920152383457,7,1\r\n"
+        b"0,1,1,0.9000000000000002,0.8835185957399897,27,1\r\n"
+        b"0,2,0,-0.9,-0.8820954406586152,17,1\r\n"
+        b"0,2,1,0.12857142857142867,0.11928840429567707,6,1\r\n"
+        b"1,0,0,-5.551115123125783e-17,0.0,0,1\r\n"
+        b"1,0,1,-0.9,-0.8938750869767856,19,1\r\n"
+        b"1,1,0,0.8999999999999999,0.888519555147227,21,1\r\n"
+        b"1,1,1,0.1499999999999999,0.15303799331700266,1,1\r\n")
+
+
 def test_train_zero_epochs_gives_empty_history(tmp_path, small_features):
     model = tmp_path / "m.json"
     history = tmp_path / "h.csv"

@@ -648,13 +648,16 @@ def test_program_report_csv_roundtrip(tmp_path):
     targets = derive_rng(9, 0).uniform(-0.8, 0.8, size=(3, 2))
     report = tile.program_and_verify(targets)
     path = tmp_path / "report.csv"
-    write_program_report_csv(report, path, header_lines=["run=unit-test"])
+    write_program_report_csv([report], path, header_lines=["run=unit-test"])
     with open(path) as fh:
         rows = [r for r in csv.reader(fh) if not r[0].startswith("#")]
-    assert rows[0] == ["row", "col", "target", "achieved", "iterations",
-                       "converged"]
+    assert rows[0] == ["layer", "row", "col", "target", "achieved",
+                       "iterations", "converged"]
     assert len(rows) == 1 + 6
     for r in rows[1:]:
-        i, j = int(r[0]), int(r[1])
-        assert float(r[2]) == report.targets[i, j]
-        assert float(r[3]) == report.achieved[i, j]
+        assert r[0] == "0"
+        i, j = int(r[1]), int(r[2])
+        assert float(r[3]) == report.targets[i, j]
+        assert float(r[4]) == report.achieved[i, j]
+        assert int(r[5]) == report.iterations[i, j]
+        assert int(r[6]) == report.converged[i, j]

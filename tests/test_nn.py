@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memtact.crossbar import AnalogTile
 from memtact.data import Dataset, FeatureScaler, derive_rng
@@ -28,6 +30,9 @@ from memtact.nn import (
     ttv2_step,
     write_history_csv,
 )
+from test_crossbar import (reference_midpoint_step,
+                           reference_stochastic_update,
+                           reference_symmetry_point)
 
 
 def gaussian_clouds(n_per, centers, spread, rng):
@@ -143,6 +148,11 @@ def test_train_config_validation():
         TrainConfig(mode="adam")
     with pytest.raises(ValueError):
         TrainConfig(lr=-0.1)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            TrainConfig(lr=bad)
+        with pytest.raises(ValueError, match="finite"):
+            TrainConfig(mode="ttv2", fast_lr=bad)
     with pytest.raises(ValueError):
         TrainConfig(transfer_every=0)
     with pytest.raises(ValueError):
@@ -350,10 +360,6 @@ def test_ttv2_matches_mask_reference_update(monkeypatch):
     The reference run swaps in the full-tile mask update and recomputes the
     midpoint step and symmetry point on every call, as training once did.
     """
-    from test_crossbar import (reference_midpoint_step,
-                               reference_stochastic_update,
-                               reference_symmetry_point)
-
     rng = derive_rng(17, 0)
     data = gaussian_clouds(8, rng.normal(0.0, 1.0, size=(5, 38)), 0.5, rng)
     spec = NetworkSpec((38, 8, 5))
@@ -380,6 +386,178 @@ def test_ttv2_matches_mask_reference_update(monkeypatch):
     # the A tiles fired and transfers moved every weight tile
     for w, tile in zip(new[0], init.tiles):
         assert not np.array_equal(w, tile.read_weights())
+
+
+# -- the training step against the loop it replaced --------------------------
+
+
+def reference_pulse(self, up_idx, down_idx, rng):
+    """Pulse the devices at the given flat row-major indices once.
+
+    The tile's one soft-bounds update: w += gamma * (1 + sigma * xi) *
+    (bound - w), clipped to the device bounds, with one standard normal
+    xi per pulsed device drawn in index order, up pulses before down.
+    """
+    if not (up_idx.size or down_idx.size):
+        return
+    w = self._w.reshape(-1)
+    lo, hi, sig = (a.reshape(-1) for a in (self._b_lo, self._b_hi,
+                                             self._sig))
+    for idx, gamma, bound in ((up_idx, self._gu, hi),
+                              (down_idx, self._gd, lo)):
+        if idx.size:
+            xi = rng.standard_normal(idx.size)
+            step = gamma.reshape(-1)[idx] * (1.0 + sig[idx] * xi)
+            w_i = w[idx]
+            w[idx] = np.clip(w_i + step * (bound[idx] - w_i), lo[idx],
+                             hi[idx])
+
+
+def reference_undo_map(self, l, mac, x_sum):
+    scale, offset = self.scales[l], self.offsets[l]
+    if scale == 1.0 and offset == 0.0:
+        return mac
+    return (mac - offset * x_sum) / scale
+
+
+def reference_forward(self, x):
+    h = np.asarray(x, dtype=np.float64)
+    last = self.spec.n_layers - 1
+    for l, tile in enumerate(self.tiles):
+        h = reference_undo_map(self, l, tile.forward_mac(h),
+                               float(h.sum())) + self.biases[l]
+        if l < last:
+            h = np.maximum(h, 0.0)
+    return h
+
+
+def reference_transfer_column(state, l, cfg, rng):
+    """Move one A-tile column into W through the digital accumulator."""
+    k = state.cursors[l]
+    a_tile = state.a_tiles[l]
+    w_tile = state.net.tiles[l]
+    one_hot = np.zeros(a_tile.cols)
+    one_hot[k] = 1.0
+    read = a_tile.backward_mac(one_hot) - a_tile.symmetry_point()[:, k]
+    state.hidden[l][:, k] += cfg.lr * read
+    unit = w_tile.midpoint_step()[:, k]
+    h_col = state.hidden[l][:, k]
+    valid = unit > 0
+    grants = np.zeros(h_col.shape, dtype=np.int64)
+    grants[valid] = (np.abs(h_col[valid]) // unit[valid]).astype(np.int64)
+    if grants.any():
+        sign = np.sign(h_col)
+        h_col -= sign * grants * unit
+        up = np.zeros(w_tile.shape, dtype=bool)
+        down = np.zeros(w_tile.shape, dtype=bool)
+        remaining = grants.copy()
+        # pulse trains run in lockstep, each round fires devices still owed
+        while remaining.any():
+            owed = remaining > 0
+            up[:, k] = owed & (sign > 0)
+            down[:, k] = owed & (sign < 0)
+            w_tile.apply_pulses(up, down, rng)
+            remaining[owed] -= 1
+    state.cursors[l] = (k + 1) % a_tile.cols
+
+
+def reference_ttv2_step(state, x, y, cfg, rng):
+    """One sample of two-tile training; returns the cross-entropy loss."""
+    net = state.net
+    last = net.spec.n_layers - 1
+    acts = [np.asarray(x, dtype=np.float64)]
+    pre = []
+    h = acts[0]
+    for l, tile in enumerate(net.tiles):
+        z = reference_undo_map(net, l, tile.forward_mac(h), float(h.sum())) \
+            + net.biases[l]
+        pre.append(z)
+        h = np.maximum(z, 0.0) if l < last else z
+        acts.append(h)
+    z = pre[-1] - pre[-1].max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    p = e / e.sum(axis=-1, keepdims=True)
+    loss = -math.log(max(p[int(y)], 1e-300))
+    delta = p.copy()
+    delta[int(y)] -= 1.0
+    for l in range(last, -1, -1):
+        if cfg.fast_lr:
+            state.a_tiles[l].stochastic_update(acts[l], delta, cfg.fast_lr,
+                                               rng)
+        if cfg.lr:
+            net.biases[l] -= cfg.lr * delta
+        if l > 0:
+            back = reference_undo_map(net, l, net.tiles[l].backward_mac(delta),
+                                      float(delta.sum()))
+            delta = back * (pre[l - 1] > 0)
+        state.counters[l] += 1
+        if cfg.lr and state.counters[l] % cfg.transfer_every == 0:
+            reference_transfer_column(state, l, cfg, rng)
+    return loss
+
+
+@st.composite
+def step_cases(draw):
+    dims = draw(st.sampled_from([(4, 3), (6, 2), (5, 4, 3), (3, 6, 2)]))
+    # (scale, offset): an identity map, the ttv2 output gain, a programmed map
+    undo = draw(st.sampled_from([(1.0, 0.0), (1.25, 0.0), (0.7, 0.15)]))
+    every = draw(st.integers(1, 5))
+    lr = draw(st.sampled_from([0.0, 0.1, 0.8]))
+    fast_lr = draw(st.sampled_from([0.0, 0.5, 4.0]))
+    sigma = draw(st.sampled_from([0.0, 0.05, 0.3]))
+    steps = draw(st.integers(1, 40))
+    seed = draw(st.integers(0, 2**16))
+    return dims, undo, every, lr, fast_lr, sigma, steps, seed
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(case=step_cases())
+def test_ttv2_step_matches_reference_loop(case):
+    """The step, transfer, undo-map and pulse kernel move nothing.
+
+    The reference run swaps in the loop they replaced, the mask-based
+    update and the np.clip pulse kernel, and must leave every tile, H,
+    bias, cursor, counter, loss and generator state the same.
+    """
+    dims, (scale, offset), every, lr, fast_lr, sigma, steps, seed = case
+    spec = NetworkSpec(dims)
+    cfg = TrainConfig(mode="ttv2", lr=lr, fast_lr=fast_lr,
+                      transfer_every=every, seed=seed % 97)
+    data = derive_rng(seed, 0)
+    xs = data.standard_normal((steps, dims[0])) \
+        * (data.random((steps, dims[0])) < 0.8)
+    ys = data.integers(dims[-1], size=steps)
+
+    def run(step):
+        state = init_ttv2(spec, default_distribution(), cfg, sigma_c2c=sigma)
+        state.net.scales = [scale] * spec.n_layers
+        state.net.offsets = [offset] * spec.n_layers
+        rng = derive_rng(seed, 3)
+        losses = [step(state, x, y, cfg, rng) for x, y in zip(xs, ys)]
+        return state, losses, rng
+
+    state, losses, rng = run(ttv2_step)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(AnalogTile, "stochastic_update",
+                  reference_stochastic_update)
+        m.setattr(AnalogTile, "_pulse", reference_pulse)
+        ref, ref_losses, ref_rng = run(reference_ttv2_step)
+        x = data.standard_normal(dims[0])
+        ref_scores = reference_forward(ref.net, x)
+    assert losses == ref_losses
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    for l in range(spec.n_layers):
+        for got, want in ((state.net.tiles[l], ref.net.tiles[l]),
+                          (state.a_tiles[l], ref.a_tiles[l])):
+            assert np.array_equal(got.read_weights(), want.read_weights())
+            assert got._rng.bit_generator.state \
+                == want._rng.bit_generator.state
+        assert np.array_equal(state.hidden[l], ref.hidden[l])
+        assert np.array_equal(state.net.biases[l], ref.net.biases[l])
+    assert state.cursors == ref.cursors
+    assert state.counters == ref.counters
+    assert np.array_equal(state.net.forward(x), ref_scores)
+    assert np.array_equal(state.net.forward_batch(x[None])[0], ref_scores)
 
 
 # -- programming a trained network -------------------------------------------
