@@ -151,10 +151,13 @@ def cmd_fit_device(args) -> int:
     for path in paths:
         try:
             trace = device.read_trace_csv(path)
+        except (OSError, ValueError) as e:
+            raise SystemExit(f"error: {e}")
+        try:
             params, report = device.fit_softbounds(
                 trace, scheme, restarts=int(cfg["restarts"]),
                 seed=int(cfg["seed"]))
-        except (OSError, ValueError) as e:
+        except ValueError as e:
             raise SystemExit(f"error: {path}: {e}")
         log.info("fit %s: residual %.3g after %d evals", path, report.mad,
                  report.evaluations)
@@ -246,9 +249,12 @@ def cmd_program(args) -> int:
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as e:
         raise SystemExit(f"error: {e}")
     dist = _load_distribution(getattr(args, "dist", None))
-    analog, reports = nn.program_network(
-        net, dist, seed=int(cfg["seed"]), epsilon=float(cfg["epsilon"]),
-        max_iter=int(cfg["max_iter"]))
+    try:
+        analog, reports = nn.program_network(
+            net, dist, seed=int(cfg["seed"]), epsilon=float(cfg["epsilon"]),
+            max_iter=int(cfg["max_iter"]))
+    except ValueError as e:
+        raise SystemExit(f"error: {e}")
     chash = _config_hash(cfg)
     nn.save_model(analog, args.out, scaler=scaler, classes=classes,
                   extra={"config_hash": chash, "mode": "programmed"})

@@ -290,8 +290,9 @@ class AnalogTile:
             raise ValueError("target matrix shape must match the tile")
         if not np.all(np.isfinite(targets)):
             raise ValueError("targets must be finite")
-        if epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not 0 < epsilon < np.inf:  # NaN or inf would accept any weight
+            raise ValueError(f"epsilon must be positive and finite, got "
+                             f"{epsilon}")
         if max_iter < 1:
             raise ValueError("max_iter must be at least 1")
         rng = self._rng if rng is None else rng

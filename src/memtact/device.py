@@ -179,52 +179,73 @@ def simulate_trace(params: DeviceParams, scheme: PulseScheme, w0: float,
 
 @functools.lru_cache(maxsize=16)
 def _exponents(k: int) -> np.ndarray:
-    """Read-only arange(k + 1), shared by every model trace of a scheme."""
-    e = np.arange(k + 1)
+    """Read-only float arange(k + 1), shared by every model trace of a scheme.
+
+    Float exponents spare np.power a cast; its results are the same.
+    """
+    e = np.arange(k + 1, dtype=np.float64)
     e.flags.writeable = False
     return e
 
 
-def _noise_free_samples(gu: float, gd: float, b_lo: float, b_hi: float,
-                        scheme: PulseScheme, w0: float,
+def _noise_free_samples(gu, gd, b_lo, b_hi, scheme: PulseScheme, w0,
                         out: np.ndarray | None = None) -> np.ndarray:
     """Closed-form noise-free trace; requires 0 < gu, gd < 1.
 
     Constant-polarity runs follow a geometric approach to the bound. For the
     alternating run, one up-down pair is the affine map w -> r*w + c with
-    r = (1-gu)(1-gd), which is iterated in closed form as well. The trace is
-    written into `out` (total_pulses() + 1 floats) when given.
+    r = (1-gu)(1-gd), which is iterated in closed form as well. Scalar
+    parameters give one trace of total_pulses() + 1 floats; arrays of m
+    parameters (w0 may stay scalar) give an (m, total_pulses() + 1) array
+    whose every row equals the scalar call bit for bit. The result is
+    written into `out` when given.
     """
     if out is None:
-        out = np.empty(scheme.total_pulses() + 1)
+        out = np.empty(np.shape(gu)[:1] + (scheme.total_pulses() + 1,))
+    last = -1  # a trace's last state, a scalar in the one-trace case
+    if np.ndim(gu):
+        # one column per parameter, so that each row pulses on its own
+        gu, gd, b_lo, b_hi = (np.asarray(v)[:, None]
+                              for v in (gu, gd, b_lo, b_hi))
+        w0 = np.asarray(w0)[..., None]
+        last = np.s_[:, -1:]
     au, ad = 1.0 - gu, 1.0 - gd
     cu, cd = gu * b_hi, gd * b_lo
-    out[0] = w = w0
+    # what does not depend on a run's starting state is the same in every
+    # batch: the powers of each run and the alternating run's drift term
+    runs = [(k, a ** _exponents(k)[1:], bound)
+            for k, a, bound in ((scheme.up_per_batch, au, b_hi),
+                                (scheme.down_per_batch, ad, b_lo)) if k]
+    pairs, rem = divmod(scheme.alternating_per_batch, 2)
+    if scheme.alternating_per_batch:
+        r = au * ad
+        one_minus_r = gu + gd - gu * gd  # 1 - r without cancellation
+        c = ad * cu + cd
+        rn = r ** _exponents(pairs)
+        # wn = rn * w + c * (1 - rn) / (1 - r); drift is the second term
+        drift = np.subtract(1.0, rn)
+        drift *= c
+        drift /= one_minus_r
+    out[..., :1] = w = w0
     i = 1
     for _ in range(scheme.batches):
-        for k, a, bound in ((scheme.up_per_batch, au, b_hi),
-                            (scheme.down_per_batch, ad, b_lo)):
-            if k:
-                seg = out[i:i + k]
-                np.power(a, _exponents(k)[1:], out=seg)
-                seg *= bound - w
-                np.subtract(bound, seg, out=seg)
-                w = seg[-1]
-                i += k
-        n_alt = scheme.alternating_per_batch
-        if n_alt:
-            pairs, rem = divmod(n_alt, 2)
-            r = au * ad
-            one_minus_r = gu + gd - gu * gd  # 1 - r without cancellation
-            c = ad * cu + cd
-            rn = r ** _exponents(pairs)
-            wn = rn * w + c * (1.0 - rn) / one_minus_r
-            out[i:i + 2 * pairs:2] = au * wn[:pairs] + cu
-            out[i + 1:i + 2 * pairs:2] = wn[1:]
-            w = wn[-1]
+        for k, power, bound in runs:
+            seg = out[..., i:i + k]
+            np.multiply(power, bound - w, out=seg)
+            np.subtract(bound, seg, out=seg)
+            w = seg[last]
+            i += k
+        if scheme.alternating_per_batch:
+            wn = rn * w
+            wn += drift
+            up = out[..., i:i + 2 * pairs:2]
+            np.multiply(au, wn[..., :pairs], out=up)
+            up += cu
+            out[..., i + 1:i + 2 * pairs:2] = wn[..., 1:]
+            w = wn[last]
             i += 2 * pairs
             if rem:
-                out[i] = w = au * w + cu
+                out[..., i:i + 1] = w = au * w + cu
                 i += 1
     return out
 
@@ -238,20 +259,136 @@ class FitReport:
     restarts: int
 
 
+# Nelder & Mead (1965) with scipy's default coefficients: reflection,
+# expansion, contraction and shrink
+_RHO, _CHI, _PSI, _SIGMA = 1, 2, 0.5, 0.5
+
+
+class _OutOfEvaluations(Exception):
+    """The evaluation budget ran out in the middle of an iteration."""
+
+
+def _by_value(sim: list, fsim: list) -> tuple[list, list]:
+    """Vertices in np.argsort order of their values, ties as scipy has them."""
+    ind = np.array(fsim).argsort().tolist()
+    return [sim[i] for i in ind], [fsim[i] for i in ind]
+
+
+def _nelder_mead(x0, *, xatol: float, fatol: float, maxiter: int,
+                 maxfev: int):
+    """Downhill simplex search, written as a generator.
+
+    It yields each point to evaluate as a list, takes the point's value
+    through send() and returns (x, fun, nfev). Every step, the tie order of
+    np.argsort and the maxfev cut-off that abandons an iteration midway
+    follow scipy.optimize.minimize(method="Nelder-Mead") of scipy 1.17, so
+    that both give the same x, fun and nfev. Vertices are lists of floats,
+    whose arithmetic rounds as numpy's does, in scipy's order of
+    operations. The caller owns the objective, so several searches can
+    share one batched model call.
+    """
+    x0 = [float(v) for v in x0]
+    n = len(x0)
+    sim = [x0] + [x0[:k] + [(1 + 0.05) * v if v != 0 else 0.00025]
+                  + x0[k + 1:] for k, v in enumerate(x0)]
+    fsim = [np.inf] * (n + 1)
+    nfev = 0
+
+    def f(x):
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise _OutOfEvaluations
+        nfev += 1
+        return (yield x)
+
+    try:
+        for k in range(n + 1):
+            fsim[k] = yield from f(sim[k])
+    except _OutOfEvaluations:
+        pass
+    # scipy sorts twice here, which can reorder ties
+    sim, fsim = _by_value(*_by_value(sim, fsim))
+    iterations = 1
+    while nfev < maxfev and iterations < maxiter:
+        try:
+            if (all(abs(fsim[0] - v) <= fatol for v in fsim[1:])
+                    and all(abs(a - b) <= xatol
+                            for x in sim[1:] for a, b in zip(x, sim[0]))):
+                break
+            xbar = sim[0]
+            for x in sim[1:-1]:
+                xbar = [a + b for a, b in zip(xbar, x)]
+            xbar = [a / n for a in xbar]
+            worst = sim[-1]
+            xr = [(1 + _RHO) * a - _RHO * b for a, b in zip(xbar, worst)]
+            fxr = yield from f(xr)
+            if fxr < fsim[0]:
+                xe = [(1 + _RHO * _CHI) * a - _RHO * _CHI * b
+                      for a, b in zip(xbar, worst)]
+                fxe = yield from f(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:
+                    xc = [(1 + _PSI * _RHO) * a - _PSI * _RHO * b
+                          for a, b in zip(xbar, worst)]
+                    fxc = yield from f(xc)
+                    accept = fxc <= fxr
+                else:
+                    xc = [(1 - _PSI) * a + _PSI * b
+                          for a, b in zip(xbar, worst)]
+                    fxc = yield from f(xc)
+                    accept = fxc < fsim[-1]
+                if accept:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    for j in range(1, n + 1):
+                        sim[j] = [a + _SIGMA * (b - a)
+                                  for a, b in zip(sim[0], sim[j])]
+                        fsim[j] = yield from f(sim[j])
+            iterations += 1
+        except _OutOfEvaluations:
+            pass
+        sim, fsim = _by_value(sim, fsim)
+    return np.array(sim[0]), np.min(fsim), nfev
+
+
+def _lockstep(searches: list, evaluate) -> list:
+    """Run generator searches side by side and return their results in order.
+
+    Each round hands the points that the unfinished searches wait on to one
+    evaluate() call, as a list.
+    """
+    results = [None] * len(searches)
+    pending = {i: next(s) for i, s in enumerate(searches)}
+    while pending:
+        values = evaluate(list(pending.values()))
+        for i, value in zip(list(pending), values):
+            try:
+                pending[i] = searches[i].send(value)
+            except StopIteration as stop:
+                del pending[i]
+                results[i] = stop.value
+    return results
+
+
 def fit_softbounds(trace: Trace, scheme: PulseScheme, *, restarts: int = 8,
                    seed: int = 0, f_tol: float = 1e-6
                    ) -> tuple[DeviceParams, FitReport]:
     """Recover soft-bounds parameters from a measured trace.
 
-    Runs a derivative-free simplex search from one heuristic start plus
-    random restarts, minimizing the mean absolute deviation between the
-    noise-free model response and the trace. Restarts stop early once the
+    Runs a Nelder-Mead simplex search (reflection 1, expansion 2,
+    contraction 0.5, shrink 0.5) from up to two heuristic starts plus
+    restarts - 1 random ones, minimizing the mean absolute deviation between
+    the noise-free model response and the trace. A search that stalls above
+    f_tol is run once more from where it stopped. Starts stop early once the
     residual drops below f_tol, which noise-free traces normally reach on
-    the first start.
+    the first start, so that start runs alone. The others run in lockstep,
+    the points they wait on evaluated through one batched model call per
+    round, and their results are taken in start order: the outcome is the
+    same as running them one after another.
     """
-    # scipy costs ~0.6 s to import and only the fit needs it
-    from scipy import optimize
-
     samples = np.asarray(trace.samples, dtype=np.float64)
     expected = scheme.total_pulses() + 1
     if samples.size != expected:
@@ -265,20 +402,30 @@ def fit_softbounds(trace: Trace, scheme: PulseScheme, *, restarts: int = 8,
     big = 1e30
     buf = np.empty(samples.size)
 
-    def objective(p):
-        gu, gd, b_lo, b_hi = p
-        if not (1e-5 < gu < 0.999 and 1e-5 < gd < 0.999):
-            return big
-        if b_lo >= -1e-9 or b_hi <= 1e-9 or not b_lo <= w0 <= b_hi:
-            return big
-        # keep at least two resolvable states
-        if (b_hi - b_lo) < (gu * b_hi - gd * b_lo):
-            return big
-        # mean absolute deviation, computed in place
-        _noise_free_samples(gu, gd, b_lo, b_hi, scheme, w0, out=buf)
-        np.subtract(buf, samples, out=buf)
-        np.abs(buf, out=buf)
-        return float(buf.sum() / buf.size)
+    def in_domain(gu, gd, b_lo, b_hi):
+        return (1e-5 < gu < 0.999 and 1e-5 < gd < 0.999
+                and not (b_lo >= -1e-9 or b_hi <= 1e-9)
+                and b_lo <= w0 <= b_hi
+                # keep at least two resolvable states
+                and not (b_hi - b_lo) < (gu * b_hi - gd * b_lo))
+
+    def evaluate(points):
+        """Mean absolute deviation at each point; big off the domain."""
+        values = [big] * len(points)
+        ok = [i for i, p in enumerate(points) if in_domain(*p)]
+        if len(ok) == 1:
+            _noise_free_samples(*points[ok[0]], scheme, w0, out=buf)
+            np.subtract(buf, samples, out=buf)
+            np.abs(buf, out=buf)
+            values[ok[0]] = float(buf.sum() / buf.size)
+        elif ok:
+            model = _noise_free_samples(*np.array([points[i] for i in ok]).T,
+                                        scheme, w0)
+            np.subtract(model, samples, out=model)
+            np.abs(model, out=model)
+            for i, mad in zip(ok, (model.sum(axis=1) / samples.size).tolist()):
+                values[i] = mad
+        return values
 
     rng = np.random.default_rng(seed)
     b_hi0 = hi + 0.05 * span if hi > 0 else 0.05 * span
@@ -309,31 +456,37 @@ def fit_softbounds(trace: Trace, scheme: PulseScheme, *, restarts: int = 8,
             hi + span * rng.uniform(0.01, 0.5),
         ]))
 
+    opts = dict(xatol=1e-8, fatol=f_tol, maxiter=4000, maxfev=6000)
+
+    def search(x0):
+        x, fun, nfev = yield from _nelder_mead(x0, **opts)
+        if f_tol <= fun < big:
+            # re-expand the simplex where it stalled; a fresh simplex often
+            # escapes the narrow valley that collapsed the first one
+            x2, fun2, nfev2 = yield from _nelder_mead(x, **opts)
+            nfev += nfev2
+            if fun2 < fun:
+                x, fun = x2, fun2
+        return x, fun, nfev
+
+    def outcomes():
+        yield from _lockstep([search(starts[0])], evaluate)
+        yield from _lockstep([search(x0) for x0 in starts[1:]], evaluate)
+
     best = None
     evals = 0
     used = 0
-    opts = dict(xatol=1e-8, fatol=f_tol, maxiter=4000, maxfev=6000)
-    for x0 in starts:
-        res = optimize.minimize(objective, x0, method="Nelder-Mead",
-                                options=opts)
-        evals += res.nfev
-        if f_tol <= res.fun < big:
-            # re-expand the simplex where it stalled; a fresh simplex often
-            # escapes the narrow valley that collapsed the first one
-            again = optimize.minimize(objective, res.x, method="Nelder-Mead",
-                                      options=opts)
-            evals += again.nfev
-            if again.fun < res.fun:
-                res = again
+    for x, fun, nfev in outcomes():
+        evals += nfev
         used += 1
-        if best is None or res.fun < best.fun:
-            best = res
-        if best.fun < f_tol:
+        if best is None or fun < best[1]:
+            best = x, fun
+        if best[1] < f_tol:
             break
-    gu, gd, b_lo, b_hi = best.x
+    (gu, gd, b_lo, b_hi), mad = best
     params = DeviceParams(gamma_up=float(gu), gamma_down=float(gd),
                           b_min=float(b_lo), b_max=float(b_hi), sigma_c2c=0.0)
-    return params, FitReport(mad=float(best.fun), evaluations=evals,
+    return params, FitReport(mad=float(mad), evaluations=evals,
                              restarts=used)
 
 
@@ -437,11 +590,26 @@ def write_trace_csv(trace: Trace, path, header_lines=()) -> None:
 
 
 def read_trace_csv(path) -> Trace:
+    """Read a trace; every ValueError names the file, a bad row its line."""
     with open(path, newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
-    if not rows or rows[0][:2] != ["pulse_index", "conductance"]:
+        reader = csv.reader(fh)
+        rows = [(reader.line_num, r) for r in reader
+                if r and not r[0].startswith("#")]
+    if not rows or rows[0][1][:2] != ["pulse_index", "conductance"]:
         raise ValueError(f"{path}: not a trace file")
-    return Trace(samples=np.array([float(r[1]) for r in rows[1:]]))
+    values = []
+    for lineno, r in rows[1:]:
+        if len(r) < 2:
+            raise ValueError(f"{path}, line {lineno}: no conductance value")
+        try:
+            values.append(float(r[1]))
+        except ValueError:
+            raise ValueError(f"{path}, line {lineno}: conductance {r[1]!r} "
+                             f"is not a number") from None
+    try:
+        return Trace(samples=np.array(values))
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
 
 
 def params_to_dict(params: DeviceParams) -> dict:

@@ -216,6 +216,53 @@ def test_infer_missing_model_returns_error(tmp_path, small_features):
                "--features", small_features) == 1
 
 
+def test_fit_device_runs_without_scipy(tmp_path):
+    """fit-device, its fit included, runs where scipy cannot be imported."""
+    p = device.DeviceParams(gamma_up=0.09, gamma_down=0.07, sigma_c2c=0.02)
+    params_path = tmp_path / "p.json"
+    device.write_device_params(p, params_path)
+    trace = tmp_path / "t.csv"
+    assert run("simulate-trace", "--params", params_path, "--scheme",
+               "1,20,20,40", "--seed", 1, "--out", trace) == 0
+    src = Path(memtact.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = ("import sys; sys.modules['scipy'] = None; "
+            "from memtact.cli import main; "
+            "sys.exit(main(sys.argv[1:]))")
+    done = subprocess.run(
+        [sys.executable, "-c", code, "fit-device", "--traces", str(trace),
+         "--scheme", "1,20,20,40", "--out", str(tmp_path / "f.json")],
+        env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    fitted = device.read_device_params(tmp_path / "f.json")
+    assert 0 < fitted.gamma_up < 1 and 0 < fitted.gamma_down < 1
+
+
+def test_fit_device_rejects_row_without_conductance(tmp_path):
+    trace = tmp_path / "t.csv"
+    trace.write_text("pulse_index,conductance\n1\n")
+    with pytest.raises(SystemExit) as exc:
+        run("fit-device", "--traces", trace, "--scheme", "1,0,0,0",
+            "--out", tmp_path / "f.json")
+    message = str(exc.value)
+    assert message == f"error: {trace}, line 2: no conductance value"
+    assert not (tmp_path / "f.json").exists()
+
+
+@pytest.mark.parametrize("epsilon", ["nan", "inf"])
+def test_program_rejects_non_finite_epsilon(tmp_path, epsilon):
+    net = nn.Network(nn.NetworkSpec((3, 2, 2)), seed=0)
+    model = tmp_path / "m.json"
+    nn.save_model(net, model, classes=[0, 1])
+    out = tmp_path / "p.json"
+    with pytest.raises(SystemExit) as exc:
+        run("program", "--model", model, "--epsilon", epsilon, "--out", out)
+    message = str(exc.value)
+    assert message.startswith("error: epsilon must be positive and finite")
+    assert "\n" not in message
+    assert not out.exists()
+
+
 def test_simulate_and_fit_cycle(tmp_path):
     p1 = device.DeviceParams(gamma_up=0.10, gamma_down=0.08, sigma_c2c=0.0)
     p2 = device.DeviceParams(gamma_up=0.06, gamma_down=0.05, sigma_c2c=0.0)

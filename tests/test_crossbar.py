@@ -380,6 +380,10 @@ def test_program_validation():
         tile.program_and_verify(np.zeros((3, 2)))
     with pytest.raises(ValueError):
         tile.program_and_verify(np.zeros((2, 2)), epsilon=0.0)
+    # a NaN or infinite band would accept every device unpulsed
+    for epsilon in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            tile.program_and_verify(np.zeros((2, 2)), epsilon=epsilon)
     with pytest.raises(ValueError):
         tile.program_and_verify(np.zeros((2, 2)), max_iter=0)
 

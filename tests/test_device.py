@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from memtact.data import derive_rng
 from memtact.device import (
+    _nelder_mead,
     _noise_free_samples,
     DeviceDistribution,
     DeviceParams,
@@ -181,6 +182,31 @@ def test_closed_form_trace_into_buffer_matches_fresh_and_oracle(
     np.testing.assert_allclose(fresh, oracle, rtol=0, atol=1e-9)
 
 
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(rows=st.lists(st.tuples(st.floats(1e-5, 0.999), st.floats(1e-5, 0.999),
+                               st.floats(-2.0, -1e-9), st.floats(1e-9, 2.0),
+                               st.floats(0.0, 1.0)),
+                     min_size=1, max_size=6),
+       shared_w0=st.booleans(),
+       layout=st.tuples(st.integers(0, 3), st.integers(0, 9),
+                        st.integers(0, 9), st.integers(0, 25)))
+def test_batched_model_rows_equal_one_row_calls(rows, shared_w0, layout):
+    """Every row of a batched model call is the one-row call, bit for bit."""
+    scheme = PulseScheme(*layout)
+    gu, gd, b_lo, b_hi, start = (np.array(v) for v in zip(*rows))
+    w0 = b_lo + start * (b_hi - b_lo)
+    if shared_w0:
+        w0 = float(w0[0])
+    batch = _noise_free_samples(gu, gd, b_lo, b_hi, scheme, w0)
+    assert batch.shape == (len(rows), scheme.total_pulses() + 1)
+    for j in range(len(rows)):
+        one = _noise_free_samples(float(gu[j]), float(gd[j]), float(b_lo[j]),
+                                  float(b_hi[j]), scheme,
+                                  w0 if shared_w0 else float(w0[j]))
+        assert one.shape == (scheme.total_pulses() + 1,)
+        assert np.array_equal(batch[j], one)
+
+
 def test_simulate_rejects_out_of_bounds_start():
     with pytest.raises(ValueError):
         simulate_trace(make_params(), PulseScheme(), 1.5, derive_rng(0, 0))
@@ -203,6 +229,64 @@ def test_simulation_is_deterministic():
 
 
 # -- fitting ----------------------------------------------------------------
+
+
+def run_search(search, fun):
+    """Drive a generator search with a plain objective."""
+    try:
+        x = next(search)
+        while True:
+            x = search.send(fun(np.array(x)))
+    except StopIteration as stop:
+        return stop.value
+
+
+def rosenbrock(x):
+    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2
+                        + (1.0 - x[:-1]) ** 2))
+
+
+def fenced_bowl(x):
+    """A bowl whose floor lies behind the fit's 1e30 penalty at x[0] > 1."""
+    if x[0] > 1.0:
+        return 1e30
+    return float(np.sum((x - np.array([2.0, 1.0, -1.0, 0.5])) ** 2))
+
+
+def walled(x):
+    """Every vertex of the first simplex sits on the penalty, all tied."""
+    if x[0] >= 1.0:
+        return 1e30
+    return float(np.sum(np.abs(x - 0.3)))
+
+
+@pytest.mark.parametrize("fun, x0, opts", [
+    (rosenbrock, [-1.2, 1.0, 0.8, 1.5],
+     dict(xatol=1e-8, fatol=1e-10, maxiter=4000, maxfev=6000)),
+    (fenced_bowl, [0.99, 0.0, 1.0, -1.0],
+     dict(xatol=1e-8, fatol=1e-6, maxiter=4000, maxfev=6000)),
+    (walled, [1.0, 0.0, 2.0, 3.0],
+     dict(xatol=1e-8, fatol=1e-6, maxiter=4000, maxfev=6000)),
+    (rosenbrock, [-1.2, 1.0, 0.8, 1.5],
+     dict(xatol=1e-8, fatol=1e-10, maxiter=4000, maxfev=157)),
+    (rosenbrock, [-1.2, 1.0, 0.8, 1.5],
+     dict(xatol=1e-8, fatol=1e-10, maxiter=41, maxfev=6000)),
+], ids=["smooth", "penalty", "tied_penalty", "maxfev_binds", "maxiter_binds"])
+def test_nelder_mead_matches_scipy(fun, x0, opts):
+    """The in-package search takes scipy's steps: same x, fun and nfev."""
+    optimize = pytest.importorskip("scipy.optimize")
+    want = optimize.minimize(fun, np.array(x0), method="Nelder-Mead",
+                             options=opts)
+    x, f, nfev = run_search(_nelder_mead(np.array(x0), **opts), fun)
+    assert np.array_equal(x, want.x)
+    assert f == want.fun
+    assert nfev == want.nfev
+    if opts["maxfev"] < 6000:
+        assert nfev == opts["maxfev"]
+    elif opts["maxiter"] < 4000:
+        assert want.nit == opts["maxiter"] and nfev < opts["maxfev"]
+    else:
+        assert want.success
 
 
 def test_fit_recovers_known_device():
@@ -337,6 +421,20 @@ def test_trace_csv_skips_comments_and_checks_header(tmp_path):
     bad.write_text("time,value\n0,0.5\n")
     with pytest.raises(ValueError):
         read_trace_csv(bad)
+
+
+@pytest.mark.parametrize("rows, message", [
+    ("0,0.5\n1\n", "line 4: no conductance value"),
+    ("0,0.5\n1,abc\n", "line 4: conductance 'abc' is not a number"),
+    ("0,0.5\n1,nan\n", "trace samples must be finite"),
+], ids=["missing", "not_a_number", "not_finite"])
+def test_trace_csv_bad_row_names_file_and_line(tmp_path, rows, message):
+    path = tmp_path / "trace.csv"
+    path.write_text("# a comment\npulse_index,conductance\n" + rows)
+    with pytest.raises(ValueError) as exc:
+        read_trace_csv(path)
+    assert str(exc.value).startswith(f"{path}")
+    assert str(exc.value).endswith(message)
 
 
 def test_device_params_json_roundtrip(tmp_path):
