@@ -10,16 +10,15 @@ from .data import Dataset, FeatureScaler, derive_rng, stratified_split_indices
 from .device import (
     DeviceDistribution,
     DeviceParams,
-    DeviceState,
     FitReport,
     PulseScheme,
     Trace,
-    apply_pulse,
     asymmetry,
     build_distribution,
     default_distribution,
     fit_softbounds,
     n_states,
+    pulse,
     sample_device,
     simulate_trace,
 )
@@ -38,7 +37,6 @@ from .nn import (
     TrainHistory,
     TTv2State,
     evaluate,
-    forward,
     hardware_aware_finetune,
     init_ttv2,
     program_network,

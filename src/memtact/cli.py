@@ -118,7 +118,7 @@ def cmd_simulate_trace(args) -> int:
     cfg = _resolve(args, defaults)
     try:
         params = device.read_device_params(args.params)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:
         raise SystemExit(f"error: {e}")
     if isinstance(params, list):
         try:
@@ -237,7 +237,7 @@ def _load_distribution(path) -> device.DeviceDistribution:
         return device.default_distribution()
     try:
         return device.read_distribution(path)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:
         raise SystemExit(f"error: {e}")
 
 
@@ -246,7 +246,7 @@ def cmd_program(args) -> int:
     cfg = _resolve(args, defaults)
     try:
         net, scaler, classes = nn.load_model(args.model)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:
         raise SystemExit(f"error: {e}")
     dist = _load_distribution(getattr(args, "dist", None))
     try:
@@ -273,7 +273,10 @@ def cmd_program(args) -> int:
 
 
 def _model_accuracy(model_path, x, y) -> float:
-    net, scaler, classes = nn.load_model(model_path)
+    try:
+        net, scaler, classes = nn.load_model(model_path)
+    except ValueError as e:
+        raise SystemExit(f"error: {e}")
     if classes is None:
         raise SystemExit(f"error: {model_path} lacks a class list")
     index = {int(c): i for i, c in enumerate(classes)}

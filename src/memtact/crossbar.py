@@ -9,10 +9,8 @@ closed-loop program-and-verify routine.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -21,8 +19,7 @@ from .device import (
     DeviceDistribution,
     DeviceParams,
     gammas_from_stats,
-    params_from_dict,
-    params_to_dict,
+    pulse,
     sample_stats_grid,
 )
 
@@ -126,10 +123,14 @@ class AnalogTile:
     # -- reads ------------------------------------------------------------
 
     def forward_mac(self, x: np.ndarray) -> np.ndarray:
-        """y[j] = sum_i w[i, j] * x[i]; noise-free, state untouched."""
+        """y[j] = sum_i w[i, j] * x[i]; noise-free, state untouched.
+
+        x is one input vector or a batch of them as rows.
+        """
         x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.rows,):
-            raise ValueError(f"x must have shape ({self.rows},)")
+        if not 1 <= x.ndim <= 2 or x.shape[-1] != self.rows:
+            raise ValueError(f"x must have shape ({self.rows},) or "
+                             f"(n, {self.rows})")
         return x @ self._w
 
     def backward_mac(self, d: np.ndarray) -> np.ndarray:
@@ -186,13 +187,9 @@ class AnalogTile:
         gu, gd, lo, hi, sig = self._flat
         for idx, gamma, bound in ((up_idx, gu, hi), (down_idx, gd, lo)):
             if idx.size:
-                xi = rng.standard_normal(idx.size)
-                step = gamma[idx] * (1.0 + sig[idx] * xi)
-                w_i = w[idx]
-                # np.clip without its wrapper layers; equal for finite values
-                w[idx] = np.minimum(
-                    np.maximum(w_i + step * (bound[idx] - w_i), lo[idx]),
-                    hi[idx])
+                w[idx] = pulse(w[idx], gamma[idx], sig[idx],
+                               rng.standard_normal(idx.size), bound[idx],
+                               lo[idx], hi[idx])
 
     def apply_pulses(self, up_mask: np.ndarray, down_mask: np.ndarray,
                      rng=None) -> None:
@@ -433,50 +430,6 @@ def weight_map_affine(weights: np.ndarray, tile: AnalogTile, *,
 
 # ---------------------------------------------------------------------------
 # file formats
-
-
-def tile_to_snapshot(tile: AnalogTile) -> dict:
-    devices = []
-    for i in range(tile.rows):
-        for j in range(tile.cols):
-            devices.append(params_to_dict(DeviceParams(
-                gamma_up=float(tile._gu[i, j]), gamma_down=float(tile._gd[i, j]),
-                b_min=float(tile._b_lo[i, j]), b_max=float(tile._b_hi[i, j]),
-                sigma_c2c=float(tile._sig[i, j]))))
-    return {
-        "rows": tile.rows,
-        "cols": tile.cols,
-        "seed": tile.seed,
-        "stream_id": tile.stream_id,
-        "devices": devices,
-        "state": tile._w.ravel().tolist(),
-    }
-
-
-def tile_from_snapshot(snap: dict) -> AnalogTile:
-    rows, cols = int(snap["rows"]), int(snap["cols"])
-    if len(snap["devices"]) != rows * cols or len(snap["state"]) != rows * cols:
-        raise ValueError("snapshot arrays do not match rows * cols")
-    fields = ("gamma_up", "gamma_down", "b_min", "b_max", "sigma_c2c")
-    cols_of = {f: np.array([d[f] for d in snap["devices"]]).reshape(rows, cols)
-               for f in fields}
-    # validate every record through the scalar type
-    for d in snap["devices"]:
-        params_from_dict(d)
-    tile = AnalogTile(cols_of["gamma_up"], cols_of["gamma_down"],
-                      cols_of["b_min"], cols_of["b_max"], cols_of["sigma_c2c"],
-                      seed=int(snap.get("seed", 0)),
-                      stream_id=int(snap.get("stream_id", 0)))
-    tile.set_weights(np.asarray(snap["state"], float).reshape(rows, cols))
-    return tile
-
-
-def save_tile(tile: AnalogTile, path) -> None:
-    Path(path).write_text(json.dumps(tile_to_snapshot(tile)) + "\n")
-
-
-def load_tile(path) -> AnalogTile:
-    return tile_from_snapshot(json.loads(Path(path).read_text()))
 
 
 def write_program_report_csv(reports, path, header_lines=()) -> None:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import functools
 import json
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -59,13 +59,6 @@ class DeviceParams:
             raise ValueError("device resolves fewer than 2 states")
 
 
-@dataclass(frozen=True)
-class DeviceState:
-    """Current analog weight of a device."""
-
-    w: float
-
-
 def midpoint_step_sizes(params: DeviceParams) -> tuple[float, float]:
     """Noise-free (up, down) step magnitudes evaluated at w = 0."""
     return params.gamma_up * params.b_max, -params.gamma_down * params.b_min
@@ -83,18 +76,14 @@ def asymmetry(params: DeviceParams) -> float:
     return (du - dd) / (du + dd)
 
 
-def apply_pulse(params: DeviceParams, state: DeviceState, polarity: str,
-                rng: np.random.Generator) -> DeviceState:
-    """Apply one pulse of the given polarity ("up" or "down") to a device."""
-    if polarity == "up":
-        gamma, bound = params.gamma_up, params.b_max
-    elif polarity == "down":
-        gamma, bound = params.gamma_down, params.b_min
-    else:
-        raise ValueError(f"polarity must be 'up' or 'down', got {polarity!r}")
-    xi = rng.standard_normal()
-    w = state.w + gamma * (1.0 + params.sigma_c2c * xi) * (bound - state.w)
-    return DeviceState(w=float(np.clip(w, params.b_min, params.b_max)))
+def pulse(w, gamma, sigma, xi, bound, b_min, b_max):
+    """One soft-bounds pulse toward `bound`, on floats or elementwise.
+
+    gamma and bound are those of the pulse's polarity, xi its standard
+    normal draw. np.minimum of np.maximum is np.clip without its wrappers.
+    """
+    return np.minimum(np.maximum(w + gamma * (1.0 + sigma * xi) * (bound - w),
+                                 b_min), b_max)
 
 
 @dataclass(frozen=True)
@@ -156,24 +145,15 @@ def simulate_trace(params: DeviceParams, scheme: PulseScheme, w0: float,
     """Drive a device through the scheme's pulse train, recording every state."""
     if not params.b_min <= w0 <= params.b_max:
         raise ValueError("initial state w0 lies outside the device bounds")
-    polarity = scheme.polarity_sequence()
-    total = polarity.size
-    xi = rng.standard_normal(total)
-    out = np.empty(total + 1)
-    out[0] = w0
-    w = float(w0)
-    gu, gd = params.gamma_up, params.gamma_down
+    up = scheme.polarity_sequence() > 0
+    gamma = np.where(up, params.gamma_up, params.gamma_down).tolist()
+    bound = np.where(up, params.b_max, params.b_min).tolist()
+    xi = rng.standard_normal(up.size).tolist()
     b_lo, b_hi, sig = params.b_min, params.b_max, params.sigma_c2c
-    for i in range(total):
-        if polarity[i] > 0:
-            w = w + gu * (1.0 + sig * xi[i]) * (b_hi - w)
-        else:
-            w = w + gd * (1.0 + sig * xi[i]) * (b_lo - w)
-        if w > b_hi:
-            w = b_hi
-        elif w < b_lo:
-            w = b_lo
-        out[i + 1] = w
+    out = np.empty(up.size + 1)
+    out[0] = w = w0
+    for i in range(up.size):
+        out[i + 1] = w = pulse(w, gamma[i], sig, xi[i], bound[i], b_lo, b_hi)
     return Trace(samples=out)
 
 
@@ -612,31 +592,35 @@ def read_trace_csv(path) -> Trace:
         raise ValueError(f"{path}: {e}") from None
 
 
-def params_to_dict(params: DeviceParams) -> dict:
-    return asdict(params)
-
-
-def params_from_dict(d: dict) -> DeviceParams:
-    return DeviceParams(
-        gamma_up=float(d["gamma_up"]), gamma_down=float(d["gamma_down"]),
-        b_min=float(d["b_min"]), b_max=float(d["b_max"]),
-        sigma_c2c=float(d["sigma_c2c"]))
+def json_object(path, payload, keys, what: str) -> dict:
+    """payload if it is a JSON object holding every key; else a ValueError."""
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: {what} is not a JSON object")
+    missing = [k for k in keys if k not in payload]
+    if missing:
+        raise ValueError(f"{path}: {what} lacks {', '.join(missing)}")
+    return payload
 
 
 def write_device_params(params, path) -> None:
     """Write one DeviceParams record or a list of them as JSON."""
-    if isinstance(params, DeviceParams):
-        payload = params_to_dict(params)
-    else:
-        payload = [params_to_dict(p) for p in params]
+    payload = asdict(params) if isinstance(params, DeviceParams) \
+        else [asdict(p) for p in params]
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
 
 def read_device_params(path):
+    """One DeviceParams record, or a list of them, from JSON."""
     payload = json.loads(Path(path).read_text())
-    if isinstance(payload, dict):
-        return params_from_dict(payload)
-    return [params_from_dict(d) for d in payload]
+    keys = [f.name for f in fields(DeviceParams)]
+
+    def record(d, what):
+        d = json_object(path, d, keys, what)
+        return DeviceParams(**{k: float(d[k]) for k in keys})
+
+    if isinstance(payload, list):
+        return [record(d, f"device record {i}") for i, d in enumerate(payload)]
+    return record(payload, "device record")
 
 
 def write_distribution(dist: DeviceDistribution, path, extra: dict | None = None
@@ -653,7 +637,8 @@ def write_distribution(dist: DeviceDistribution, path, extra: dict | None = None
 
 
 def read_distribution(path) -> DeviceDistribution:
-    d = json.loads(Path(path).read_text())
+    d = json_object(path, json.loads(Path(path).read_text()),
+                    ("mean", "covariance"), "distribution")
     return DeviceDistribution(
         mean=np.asarray(d["mean"], float),
         covariance=np.asarray(d["covariance"], float),

@@ -11,6 +11,7 @@ weight tile W as granularity-sized pulses. Biases stay digital throughout.
 
 from __future__ import annotations
 
+import copy
 import csv
 import json
 import math
@@ -23,7 +24,7 @@ from .crossbar import AnalogTile, ProgramReport, map_weights_to_targets, \
     weight_map_affine
 from .data import Dataset, FeatureScaler, derive_rng
 from .device import DEFAULT_SIGMA_C2C, DeviceDistribution, \
-    default_distribution
+    default_distribution, json_object
 
 
 @dataclass(frozen=True)
@@ -103,6 +104,20 @@ def relu(z: np.ndarray) -> np.ndarray:
     return np.maximum(z, 0.0)
 
 
+def _activations(net, x: np.ndarray) -> list:
+    """[x, hidden ReLU outputs..., logits] of one sample or a batch of rows;
+    net._mac(l, h) is layer l's MAC of h through its weights."""
+    h = np.asarray(x, dtype=np.float64)
+    acts = [h]
+    last = len(net.biases) - 1
+    for l, b in enumerate(net.biases):
+        h = net._mac(l, h) + b
+        if l < last:
+            h = relu(h)
+        acts.append(h)
+    return acts
+
+
 class Network:
     """Digital FC network; weights[l] has shape (fan_in, fan_out)."""
 
@@ -119,67 +134,37 @@ class Network:
             self.weights.append(rng.normal(0.0, gain, size=(fan_in, fan_out)))
             self.biases.append(np.zeros(fan_out))
 
-    def forward(self, x: np.ndarray, weights=None) -> np.ndarray:
-        """Class scores (logits) for one sample."""
-        weights = self.weights if weights is None else weights
-        h = np.asarray(x, dtype=np.float64)
-        last = len(weights) - 1
-        for l, (w, b) in enumerate(zip(weights, self.biases)):
-            h = h @ w + b
-            if l < last:
-                h = relu(h)
-        return h
+    def _mac(self, l: int, h: np.ndarray) -> np.ndarray:
+        return h @ self.weights[l]
 
-    def forward_batch(self, x: np.ndarray) -> np.ndarray:
-        h = np.asarray(x, dtype=np.float64)
-        last = len(self.weights) - 1
-        for l, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w + b
-            if l < last:
-                h = relu(h)
-        return h
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """Class scores (logits) for one sample or a batch of rows."""
+        return _activations(self, x)[-1]
 
-    def backprop(self, x: np.ndarray, y: int, weights=None):
-        """Cross-entropy loss and gradients for one sample.
-
-        When `weights` is given the forward and backward passes run through
-        those matrices instead of the stored ones (used for noise-injected
-        training), while shapes and biases stay shared.
-        """
-        weights = self.weights if weights is None else weights
-        last = len(weights) - 1
-        acts = [np.asarray(x, dtype=np.float64)]
-        pre = []
-        h = acts[0]
-        for l, (w, b) in enumerate(zip(weights, self.biases)):
-            z = h @ w + b
-            pre.append(z)
-            h = relu(z) if l < last else z
-            acts.append(h)
-        p = softmax(pre[-1])
-        loss = -math.log(max(p[y], 1e-300))
-        delta = p.copy()
+    def backprop(self, x: np.ndarray, y: int):
+        """Cross-entropy loss and gradients for one sample."""
+        acts = _activations(self, x)
+        # softmax returns a new array, used as the error
+        delta = softmax(acts[-1])
+        loss = -math.log(max(delta[y], 1e-300))
         delta[y] -= 1.0
-        grads_w = [None] * len(weights)
-        grads_b = [None] * len(weights)
+        last = len(self.weights) - 1
+        grads_w, grads_b = [None] * (last + 1), [None] * (last + 1)
         for l in range(last, -1, -1):
             grads_w[l] = np.outer(acts[l], delta)
             grads_b[l] = delta
             if l > 0:
-                delta = (weights[l] @ delta) * (pre[l - 1] > 0)
+                # a hidden unit passes error where its ReLU output is
+                # positive, which is where its pre-activation was
+                delta = (self.weights[l] @ delta) * (acts[l] > 0)
         return loss, grads_w, grads_b
-
-
-def forward(net, x: np.ndarray) -> np.ndarray:
-    """Class scores of a digital or analog network for one sample."""
-    return net.forward(x)
 
 
 def evaluate(net, dataset: Dataset) -> float:
     """Fraction of samples whose argmax score matches the label."""
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
-    scores = net.forward_batch(dataset.x)
+    scores = net.forward(dataset.x)
     return float((scores.argmax(axis=1) == dataset.y).mean())
 
 
@@ -212,8 +197,9 @@ def hardware_aware_finetune(net: Network, train: Dataset, noise_std: float,
     """Continue training under multiplicative Gaussian weight noise.
 
     Each sample sees weights w * (1 + noise_std * xi) during forward and
-    backward; the resulting gradients are applied to the clean weights.
-    With noise_std = 0 this is plain continued SGD.
+    backward, through a shallow copy of the network that shares its
+    biases; the resulting gradients are applied to the clean weights. With
+    noise_std = 0 this is plain continued SGD.
     """
     if noise_std < 0:
         raise ValueError("noise_std must be non-negative")
@@ -222,13 +208,13 @@ def hardware_aware_finetune(net: Network, train: Dataset, noise_std: float,
     for _ in range(epochs):
         order = rng.permutation(len(train))
         for i in order:
+            noisy = net
             if noise_std > 0:
-                noisy = [w * (1.0 + noise_std * rng.standard_normal(w.shape))
-                         for w in net.weights]
-            else:
-                noisy = None
-            _, gw, gb = net.backprop(train.x[i], int(train.y[i]),
-                                     weights=noisy)
+                noisy = copy.copy(net)
+                noisy.weights = [
+                    w * (1.0 + noise_std * rng.standard_normal(w.shape))
+                    for w in net.weights]
+            _, gw, gb = noisy.backprop(train.x[i], int(train.y[i]))
             for l in range(len(net.weights)):
                 net.weights[l] -= lr * gw[l]
                 net.biases[l] -= lr * gb[l]
@@ -265,18 +251,12 @@ class AnalogNetwork:
             mac = mac - offset * x.sum(axis=-1, keepdims=True)
         return mac if scale == 1.0 else mac / scale
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        return self.forward_batch(x)
+    def _mac(self, l: int, h: np.ndarray) -> np.ndarray:
+        return self._undo_map(l, self.tiles[l].forward_mac(h), h)
 
-    def forward_batch(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray) -> np.ndarray:
         """Class scores for one sample or a batch of rows."""
-        h = np.asarray(x, dtype=np.float64)
-        last = self.spec.n_layers - 1
-        for l, tile in enumerate(self.tiles):
-            h = self._undo_map(l, h @ tile.read_weights(), h) + self.biases[l]
-            if l < last:
-                h = relu(h)
-        return h
+        return _activations(self, x)[-1]
 
     def read_weight_matrices(self):
         """Effective weight matrices after undoing the programming map."""
@@ -396,16 +376,9 @@ def ttv2_step(state: TTv2State, x: np.ndarray, y: int, cfg: TrainConfig,
     counters = state.counters
     lr, fast_lr, every = cfg.lr, cfg.fast_lr, cfg.transfer_every
     last = len(tiles) - 1
-    h = np.asarray(x, dtype=np.float64)
-    acts = [h]
-    for l, tile in enumerate(tiles):
-        h = net._undo_map(l, tile.forward_mac(h), h)
-        h += biases[l]
-        if l < last:
-            h = relu(h)
-            acts.append(h)
-    # h holds the logits; softmax returns a new array, used as the error
-    delta = softmax(h)
+    acts = _activations(net, x)
+    # softmax returns a new array, used as the error
+    delta = softmax(acts[-1])
     y = int(y)
     loss = -math.log(max(delta[y], 1e-300))
     delta[y] -= 1.0
@@ -515,15 +488,23 @@ def save_model(net, path, *, scaler: FeatureScaler | None = None,
 
 def load_model(path):
     """Rebuild a digital network plus its scaler and class list."""
-    d = json.loads(Path(path).read_text())
-    spec = NetworkSpec(tuple(d["spec"]["layer_dims"]))
+    d = json_object(path, json.loads(Path(path).read_text()),
+                    ("spec", "weights", "biases"), "model")
+    spec = NetworkSpec(tuple(json_object(path, d["spec"], ("layer_dims",),
+                                         "spec")["layer_dims"]))
+    if not all(isinstance(d[k], list) and len(d[k]) == spec.n_layers
+               for k in ("weights", "biases")):
+        raise ValueError(f"{path}: weights and biases need one list per "
+                         f"layer")
     net = Network(spec, seed=0)
     dims = spec.layer_dims
     for l in range(spec.n_layers):
         w = np.asarray(d["weights"][l], dtype=np.float64)
         net.weights[l] = w.reshape(dims[l], dims[l + 1])
         net.biases[l] = np.asarray(d["biases"][l], dtype=np.float64)
-    scaler = FeatureScaler.from_dict(d["scaler"]) if d.get("scaler") else None
+    scaler = FeatureScaler.from_dict(json_object(
+        path, d["scaler"], ("mean", "std"), "scaler")) if d.get("scaler") \
+        else None
     classes = d.get("classes")
     return net, scaler, classes
 

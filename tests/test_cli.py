@@ -216,6 +216,38 @@ def test_infer_missing_model_returns_error(tmp_path, small_features):
                "--features", small_features) == 1
 
 
+@pytest.mark.parametrize("argv, payload", [
+    (["infer", "--model", "BAD", "--features", "FEATURES"], "{}"),
+    (["infer", "--model", "BAD", "--features", "FEATURES"], "[1, 2]"),
+    (["program", "--model", "BAD", "--out", "OUT"], "[1, 2]"),
+    (["program", "--model", "MODEL", "--dist", "BAD", "--out", "OUT"],
+     "[1, 2]"),
+    (["simulate-trace", "--params", "BAD", "--out", "OUT"], "[1, 2]"),
+    (["simulate-trace", "--params", "BAD", "--out", "OUT"], "[{}]"),
+], ids=["infer_empty_object", "infer_list", "program_list",
+        "program_dist_list", "simulate_list", "simulate_empty_record"])
+def test_malformed_json_payload_is_one_line_error(tmp_path, small_features,
+                                                  argv, payload):
+    """A JSON file of the wrong shape ends the command with one line."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(payload)
+    model = tmp_path / "model.json"
+    nn.save_model(nn.Network(nn.NetworkSpec((3, 2)), seed=0), model,
+                  classes=[0, 1])
+    paths = {"BAD": bad, "FEATURES": small_features, "MODEL": model,
+             "OUT": tmp_path / "out"}
+    src = Path(memtact.__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "-m", "memtact.cli",
+         *(str(paths.get(a, a)) for a in argv)],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True)
+    assert done.returncode != 0
+    assert "Traceback" not in done.stderr
+    assert len(done.stderr.splitlines()) == 1
+    assert str(bad) in done.stderr
+
+
 def test_fit_device_runs_without_scipy(tmp_path):
     """fit-device, its fit included, runs where scipy cannot be imported."""
     p = device.DeviceParams(gamma_up=0.09, gamma_down=0.07, sigma_c2c=0.02)

@@ -11,16 +11,15 @@ from memtact.device import (
     _noise_free_samples,
     DeviceDistribution,
     DeviceParams,
-    DeviceState,
     PulseScheme,
     Trace,
-    apply_pulse,
     asymmetry,
     build_distribution,
     default_distribution,
     fit_softbounds,
     gammas_from_stats,
     n_states,
+    pulse,
     read_device_params,
     read_distribution,
     read_trace_csv,
@@ -41,32 +40,33 @@ def make_params(gu=0.1, gd=0.1, b_min=-1.0, b_max=1.0, sigma=0.0):
 # -- single pulses ----------------------------------------------------------
 
 
+def up(params, w, xi=0.0):
+    return pulse(w, params.gamma_up, params.sigma_c2c, xi, params.b_max,
+                 params.b_min, params.b_max)
+
+
+def down(params, w, xi=0.0):
+    return pulse(w, params.gamma_down, params.sigma_c2c, xi, params.b_min,
+                 params.b_min, params.b_max)
+
+
 def test_up_pulse_saturates_at_upper_bound():
-    params = make_params(gu=0.1)
-    state = apply_pulse(params, DeviceState(w=1.0), "up", derive_rng(0, 0))
-    assert state.w == 1.0
+    assert up(make_params(gu=0.1), 1.0) == 1.0
+    # a noisy step that would overshoot lands on the bound
+    assert up(make_params(gu=0.5, sigma=1.0), 0.95, xi=3.0) == 1.0
+    assert down(make_params(gd=0.5, sigma=1.0), -0.95, xi=3.0) == -1.0
 
 
 def test_midpoint_pulse_steps_are_exact():
-    rng = derive_rng(0, 0)
-    up = apply_pulse(make_params(gu=0.1), DeviceState(w=0.0), "up", rng)
-    assert up.w == 0.1
-    down = apply_pulse(make_params(gd=0.05), DeviceState(w=0.0), "down", rng)
-    assert down.w == -0.05
-
-
-def test_pulse_rejects_unknown_polarity():
-    with pytest.raises(ValueError):
-        apply_pulse(make_params(), DeviceState(w=0.0), "sideways",
-                    derive_rng(0, 0))
+    assert up(make_params(gu=0.1), 0.0) == 0.1
+    assert down(make_params(gd=0.05), 0.0) == -0.05
 
 
 def test_noise_free_pulses_are_monotone():
     params = make_params(gu=0.07, gd=0.12)
-    for w in np.linspace(-0.95, 0.95, 9):
-        rng = derive_rng(1, 0)
-        assert apply_pulse(params, DeviceState(w=w), "up", rng).w >= w
-        assert apply_pulse(params, DeviceState(w=w), "down", rng).w <= w
+    w = np.linspace(-0.95, 0.95, 9)
+    assert np.all(up(params, w) >= w)
+    assert np.all(down(params, w) <= w)
 
 
 def test_noisy_pulse_expectation_is_monotone():
@@ -74,12 +74,8 @@ def test_noisy_pulse_expectation_is_monotone():
     params = make_params(gu=0.08, gd=0.08, sigma=0.3)
     rng = derive_rng(2, 0)
     for w in (-0.7, 0.0, 0.6):
-        deltas = [apply_pulse(params, DeviceState(w=w), "up", rng).w - w
-                  for _ in range(4000)]
-        assert np.mean(deltas) > 0
-        deltas = [apply_pulse(params, DeviceState(w=w), "down", rng).w - w
-                  for _ in range(4000)]
-        assert np.mean(deltas) < 0
+        assert np.mean(up(params, w, rng.standard_normal(4000)) - w) > 0
+        assert np.mean(down(params, w, rng.standard_normal(4000)) - w) < 0
 
 
 # -- device statistics ------------------------------------------------------

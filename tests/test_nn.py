@@ -130,7 +130,7 @@ def test_backprop_matches_finite_differences():
 def test_forward_batch_matches_per_sample():
     net = Network(NetworkSpec((6, 8, 3)), seed=2)
     x = derive_rng(2, 0).standard_normal((10, 6))
-    batch = net.forward_batch(x)
+    batch = net.forward(x)
     single = np.stack([net.forward(row) for row in x])
     np.testing.assert_allclose(batch, single, atol=1e-12)
 
@@ -557,7 +557,7 @@ def test_ttv2_step_matches_reference_loop(case):
     assert state.cursors == ref.cursors
     assert state.counters == ref.counters
     assert np.array_equal(state.net.forward(x), ref_scores)
-    assert np.array_equal(state.net.forward_batch(x[None])[0], ref_scores)
+    assert np.array_equal(state.net.forward(x[None])[0], ref_scores)
 
 
 # -- programming a trained network -------------------------------------------
@@ -591,7 +591,7 @@ def test_analog_batch_forward_matches_per_sample():
     net = Network(NetworkSpec((5, 7, 3)), seed=8)
     analog, _ = program_network(net, seed=2)
     x = derive_rng(18, 0).standard_normal((9, 5))
-    batch = analog.forward_batch(x)
+    batch = analog.forward(x)
     single = np.stack([analog.forward(row) for row in x])
     np.testing.assert_allclose(batch, single, atol=1e-9)
 
@@ -632,8 +632,8 @@ def test_model_json_roundtrip_analog(tmp_path):
     assert scaler is None
     assert classes == [0, 1, 2, 3]
     x = derive_rng(19, 0).standard_normal((6, 5))
-    np.testing.assert_allclose(back.forward_batch(x),
-                               analog.forward_batch(x), atol=1e-9)
+    np.testing.assert_allclose(back.forward(x),
+                               analog.forward(x), atol=1e-9)
 
 
 def test_history_csv_roundtrip(tmp_path):
