@@ -4,6 +4,8 @@ Subcommands: gen-data, extract-features, fit-device, simulate-trace, train,
 program, infer. Every command resolves its settings as flags over config-file
 values over defaults, logs to stderr, and stamps outputs with a hash of the
 resolved configuration so results can be traced back to their settings.
+Commands and the readers they call raise OSError or ValueError on bad input;
+`main` alone turns those into one stderr line and exit status 1.
 """
 
 from __future__ import annotations
@@ -27,14 +29,17 @@ log = logging.getLogger("memtact")
 def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
     """Merge defaults, config-file values, and explicit flags, in that order."""
     cfg = dict(defaults)
-    if getattr(args, "config", None):
-        try:
-            file_cfg = json.loads(Path(args.config).read_text())
-        except (OSError, json.JSONDecodeError) as e:
-            raise SystemExit(f"error: cannot read config {args.config}: {e}")
+    path = getattr(args, "config", None)
+    if path:
+        file_cfg = device.json_object(path, device.read_json(path), (),
+                                      "config")
         unknown = set(file_cfg) - set(defaults)
         if unknown:
-            raise SystemExit(f"error: unknown config keys {sorted(unknown)}")
+            raise ValueError(f"{path}: unknown config keys {sorted(unknown)}")
+        for key, val in file_cfg.items():
+            if isinstance(val, bool) or not isinstance(val, (int, float, str)):
+                raise ValueError(f"{path}: config value {key} is not a number "
+                                 f"or a string")
         cfg.update(file_cfg)
     for key in defaults:
         val = getattr(args, key, None)
@@ -51,15 +56,8 @@ def _config_hash(cfg: dict) -> str:
 def _parse_scheme(text: str) -> device.PulseScheme:
     parts = [int(v) for v in text.split(",")]
     if len(parts) != 4:
-        raise SystemExit("error: scheme must be batches,up,down,alternating")
+        raise ValueError("scheme must be batches,up,down,alternating")
     return device.PulseScheme(*parts)
-
-
-def _load_features(path) -> tuple[np.ndarray, np.ndarray]:
-    try:
-        return tactile.read_features_csv(path)
-    except (OSError, ValueError) as e:
-        raise SystemExit(f"error: {e}")
 
 
 def _encode_labels(y: np.ndarray) -> tuple[np.ndarray, list]:
@@ -97,10 +95,7 @@ def cmd_gen_data(args) -> int:
 def cmd_extract(args) -> int:
     defaults = dict(window=3)
     cfg = _resolve(args, defaults)
-    try:
-        gestures = tactile.read_gestures_jsonl(args.data)
-    except (OSError, ValueError) as e:
-        raise SystemExit(f"error: {e}")
+    gestures = tactile.read_gestures_jsonl(args.data)
     feats = np.empty((len(gestures), tactile.FEATURE_LENGTH))
     labels = np.empty(len(gestures), dtype=np.int64)
     for i, g in enumerate(gestures):
@@ -116,21 +111,16 @@ def cmd_extract(args) -> int:
 def cmd_simulate_trace(args) -> int:
     defaults = dict(scheme="10,200,200,1000", w0=0.0, seed=0, index=0)
     cfg = _resolve(args, defaults)
-    try:
-        params = device.read_device_params(args.params)
-    except (OSError, ValueError) as e:
-        raise SystemExit(f"error: {e}")
+    params = device.read_device_params(args.params)
     if isinstance(params, list):
         try:
             params = params[int(cfg["index"])]
         except IndexError:
-            raise SystemExit(f"error: params index {cfg['index']} out of range")
+            raise ValueError(f"params index {cfg['index']} out of range") \
+                from None
     scheme = _parse_scheme(str(cfg["scheme"]))
-    try:
-        trace = device.simulate_trace(params, scheme, float(cfg["w0"]),
-                                      derive_rng(int(cfg["seed"]), 0))
-    except ValueError as e:
-        raise SystemExit(f"error: {e}")
+    trace = device.simulate_trace(params, scheme, float(cfg["w0"]),
+                                  derive_rng(int(cfg["seed"]), 0))
     device.write_trace_csv(trace, args.out,
                            header_lines=[f"config_hash={_config_hash(cfg)}"])
     log.info("wrote %d trace samples to %s", len(trace), args.out)
@@ -145,20 +135,19 @@ def cmd_fit_device(args) -> int:
         hits = sorted(globlib.glob(pattern))
         paths.extend(hits if hits else [pattern])
     if not paths:
-        raise SystemExit("error: no trace files given")
+        raise ValueError("no trace files given")
+    if args.dist_out and len(paths) < 2:
+        raise ValueError("need at least 2 traces to build a distribution")
     scheme = _parse_scheme(str(cfg["scheme"]))
     fitted = []
     for path in paths:
-        try:
-            trace = device.read_trace_csv(path)
-        except (OSError, ValueError) as e:
-            raise SystemExit(f"error: {e}")
+        trace = device.read_trace_csv(path)
         try:
             params, report = device.fit_softbounds(
                 trace, scheme, restarts=int(cfg["restarts"]),
                 seed=int(cfg["seed"]))
         except ValueError as e:
-            raise SystemExit(f"error: {path}: {e}")
+            raise ValueError(f"{path}: {e}") from None
         log.info("fit %s: residual %.3g after %d evals", path, report.mad,
                  report.evaluations)
         fitted.append(params)
@@ -166,9 +155,6 @@ def cmd_fit_device(args) -> int:
                                args.out)
     log.info("wrote %d fitted device records to %s", len(fitted), args.out)
     if args.dist_out:
-        if len(fitted) < 2:
-            raise SystemExit(
-                "error: need at least 2 traces to build a distribution")
         dist = device.build_distribution(fitted)
         device.write_distribution(dist, args.dist_out,
                                   extra={"config_hash": _config_hash(cfg)})
@@ -190,12 +176,9 @@ def cmd_train(args) -> int:
     defaults = dict(mode="fp_sgd", hidden=0, lr=None, fast_lr=0.5,
                     transfer_every=5, epochs=100, seed=0, test_fraction=0.25)
     cfg = _resolve(args, defaults)
-    x, y = _load_features(args.features)
-    try:
-        train, test, scaler, classes = _split_features(
-            x, y, float(cfg["test_fraction"]), int(cfg["seed"]))
-    except ValueError as e:
-        raise SystemExit(f"error: {e}")
+    x, y = tactile.read_features_csv(args.features)
+    train, test, scaler, classes = _split_features(
+        x, y, float(cfg["test_fraction"]), int(cfg["seed"]))
     dims = [x.shape[1]]
     if int(cfg["hidden"]) > 0:
         dims.append(int(cfg["hidden"]))
@@ -205,12 +188,9 @@ def cmd_train(args) -> int:
     if cfg["lr"] is None:
         cfg["lr"] = 0.05 if mode == "fp_sgd" else 0.1
     lr = float(cfg["lr"])
-    try:
-        tcfg = nn.TrainConfig(mode=mode, lr=lr, fast_lr=float(cfg["fast_lr"]),
-                              transfer_every=int(cfg["transfer_every"]),
-                              epochs=int(cfg["epochs"]), seed=int(cfg["seed"]))
-    except ValueError as e:
-        raise SystemExit(f"error: {e}")
+    tcfg = nn.TrainConfig(mode=mode, lr=lr, fast_lr=float(cfg["fast_lr"]),
+                          transfer_every=int(cfg["transfer_every"]),
+                          epochs=int(cfg["epochs"]), seed=int(cfg["seed"]))
     chash = _config_hash(cfg)
     if mode == "fp_sgd":
         net = nn.Network(spec, seed=int(cfg["seed"]))
@@ -233,28 +213,18 @@ def cmd_train(args) -> int:
 
 
 def _load_distribution(path) -> device.DeviceDistribution:
-    if not path:
-        return device.default_distribution()
-    try:
-        return device.read_distribution(path)
-    except (OSError, ValueError) as e:
-        raise SystemExit(f"error: {e}")
+    return device.read_distribution(path) if path \
+        else device.default_distribution()
 
 
 def cmd_program(args) -> int:
     defaults = dict(epsilon=0.02, max_iter=200, seed=0)
     cfg = _resolve(args, defaults)
-    try:
-        net, scaler, classes = nn.load_model(args.model)
-    except (OSError, ValueError) as e:
-        raise SystemExit(f"error: {e}")
+    net, scaler, classes = nn.load_model(args.model)
     dist = _load_distribution(getattr(args, "dist", None))
-    try:
-        analog, reports = nn.program_network(
-            net, dist, seed=int(cfg["seed"]), epsilon=float(cfg["epsilon"]),
-            max_iter=int(cfg["max_iter"]))
-    except ValueError as e:
-        raise SystemExit(f"error: {e}")
+    analog, reports = nn.program_network(
+        net, dist, seed=int(cfg["seed"]), epsilon=float(cfg["epsilon"]),
+        max_iter=int(cfg["max_iter"]))
     chash = _config_hash(cfg)
     nn.save_model(analog, args.out, scaler=scaler, classes=classes,
                   extra={"config_hash": chash, "mode": "programmed"})
@@ -273,17 +243,14 @@ def cmd_program(args) -> int:
 
 
 def _model_accuracy(model_path, x, y) -> float:
-    try:
-        net, scaler, classes = nn.load_model(model_path)
-    except ValueError as e:
-        raise SystemExit(f"error: {e}")
+    net, scaler, classes = nn.load_model(model_path)
     if classes is None:
-        raise SystemExit(f"error: {model_path} lacks a class list")
+        raise ValueError(f"{model_path} lacks a class list")
     index = {int(c): i for i, c in enumerate(classes)}
     try:
         y_enc = np.array([index[int(v)] for v in y])
     except KeyError as e:
-        raise SystemExit(f"error: label {e} not known to the model")
+        raise ValueError(f"label {e} not known to the model") from None
     xt = scaler.transform(x) if scaler is not None else x
     return nn.evaluate(net, Dataset(xt, y_enc))
 
@@ -291,7 +258,7 @@ def _model_accuracy(model_path, x, y) -> float:
 def cmd_infer(args) -> int:
     defaults = dict(seed=0)
     cfg = _resolve(args, defaults)
-    x, y = _load_features(args.features)
+    x, y = tactile.read_features_csv(args.features)
     acc = _model_accuracy(args.model, x, y)
     report = {"model": str(args.model), "accuracy": acc, "samples": len(y),
               "config_hash": _config_hash(cfg)}
@@ -404,11 +371,8 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.fn(args)
-    except SystemExit:
-        raise
     except (OSError, ValueError) as e:
-        log.error("%s", e)
-        return 1
+        raise SystemExit(f"error: {e}")
 
 
 if __name__ == "__main__":

@@ -592,6 +592,14 @@ def read_trace_csv(path) -> Trace:
         raise ValueError(f"{path}: {e}") from None
 
 
+def read_json(path):
+    """The JSON value in a file; a ValueError for bad text names the file."""
+    try:
+        return json.loads(Path(path).read_text())
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
+
+
 def json_object(path, payload, keys, what: str) -> dict:
     """payload if it is a JSON object holding every key; else a ValueError."""
     if not isinstance(payload, dict):
@@ -600,6 +608,23 @@ def json_object(path, payload, keys, what: str) -> dict:
     if missing:
         raise ValueError(f"{path}: {what} lacks {', '.join(missing)}")
     return payload
+
+
+def json_float(path, value, what: str) -> float:
+    """float(value); a ValueError naming the file if value has none."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{path}: {what} is not a number") from None
+
+
+def json_array(path, value, what: str) -> np.ndarray:
+    """value as a float64 array; else a ValueError naming the file."""
+    try:
+        return np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ValueError(f"{path}: {what} is not an array of numbers") \
+            from None
 
 
 def write_device_params(params, path) -> None:
@@ -611,12 +636,13 @@ def write_device_params(params, path) -> None:
 
 def read_device_params(path):
     """One DeviceParams record, or a list of them, from JSON."""
-    payload = json.loads(Path(path).read_text())
+    payload = read_json(path)
     keys = [f.name for f in fields(DeviceParams)]
 
     def record(d, what):
         d = json_object(path, d, keys, what)
-        return DeviceParams(**{k: float(d[k]) for k in keys})
+        return DeviceParams(**{k: json_float(path, d[k], f"{what} {k}")
+                               for k in keys})
 
     if isinstance(payload, list):
         return [record(d, f"device record {i}") for i, d in enumerate(payload)]
@@ -637,10 +663,12 @@ def write_distribution(dist: DeviceDistribution, path, extra: dict | None = None
 
 
 def read_distribution(path) -> DeviceDistribution:
-    d = json_object(path, json.loads(Path(path).read_text()),
-                    ("mean", "covariance"), "distribution")
+    d = json_object(path, read_json(path), ("mean", "covariance"),
+                    "distribution")
     return DeviceDistribution(
-        mean=np.asarray(d["mean"], float),
-        covariance=np.asarray(d["covariance"], float),
-        clamp_n_min=float(d.get("clamp_n_min", 2.0)),
-        clamp_asym=float(d.get("clamp_asym", 1.0 - 1e-6)))
+        mean=json_array(path, d["mean"], "distribution mean"),
+        covariance=json_array(path, d["covariance"], "distribution covariance"),
+        clamp_n_min=json_float(path, d.get("clamp_n_min", 2.0),
+                               "distribution clamp_n_min"),
+        clamp_asym=json_float(path, d.get("clamp_asym", 1.0 - 1e-6),
+                              "distribution clamp_asym"))

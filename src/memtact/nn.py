@@ -24,7 +24,7 @@ from .crossbar import AnalogTile, ProgramReport, map_weights_to_targets, \
     weight_map_affine
 from .data import Dataset, FeatureScaler, derive_rng
 from .device import DEFAULT_SIGMA_C2C, DeviceDistribution, \
-    default_distribution, json_object
+    default_distribution, json_array, json_object, read_json
 
 
 @dataclass(frozen=True)
@@ -488,24 +488,29 @@ def save_model(net, path, *, scaler: FeatureScaler | None = None,
 
 def load_model(path):
     """Rebuild a digital network plus its scaler and class list."""
-    d = json_object(path, json.loads(Path(path).read_text()),
-                    ("spec", "weights", "biases"), "model")
-    spec = NetworkSpec(tuple(json_object(path, d["spec"], ("layer_dims",),
-                                         "spec")["layer_dims"]))
+    d = json_object(path, read_json(path), ("spec", "weights", "biases"),
+                    "model")
+    dims = json_object(path, d["spec"], ("layer_dims",), "spec")["layer_dims"]
+    classes = d.get("classes")
+    for what, ints in (("layer_dims", dims),
+                       ("classes", [] if classes is None else classes)):
+        if not (isinstance(ints, list) and all(type(n) is int for n in ints)):
+            raise ValueError(f"{path}: {what} is not a list of integers")
+    spec = NetworkSpec(tuple(dims))
     if not all(isinstance(d[k], list) and len(d[k]) == spec.n_layers
                for k in ("weights", "biases")):
         raise ValueError(f"{path}: weights and biases need one list per "
                          f"layer")
     net = Network(spec, seed=0)
-    dims = spec.layer_dims
     for l in range(spec.n_layers):
-        w = np.asarray(d["weights"][l], dtype=np.float64)
+        w = json_array(path, d["weights"][l], f"layer {l} weights")
         net.weights[l] = w.reshape(dims[l], dims[l + 1])
-        net.biases[l] = np.asarray(d["biases"][l], dtype=np.float64)
-    scaler = FeatureScaler.from_dict(json_object(
-        path, d["scaler"], ("mean", "std"), "scaler")) if d.get("scaler") \
-        else None
-    classes = d.get("classes")
+        net.biases[l] = json_array(path, d["biases"][l], f"layer {l} biases")
+    scaler = None
+    if d.get("scaler"):
+        s = json_object(path, d["scaler"], ("mean", "std"), "scaler")
+        scaler = FeatureScaler.from_dict(
+            {k: json_array(path, s[k], f"scaler {k}") for k in ("mean", "std")})
     return net, scaler, classes
 
 

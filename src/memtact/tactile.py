@@ -29,19 +29,6 @@ _GRID_CENTER = 4.0
 
 SPEEDS = ("slow", "regular", "fast")
 
-LABELS_10 = {
-    1: "single_tap", 2: "double_tap",
-    3: "swipe_down", 4: "swipe_up",
-    5: "swipe_right", 6: "swipe_left",
-    7: "circle_cw", 8: "circle_ccw",
-    9: "two_finger_swipe_up", 10: "two_finger_swipe_down",
-}
-
-LABELS_5 = {
-    1: "tap", 2: "vertical_swipe", 3: "horizontal_swipe",
-    4: "circular", 5: "two_finger_swipe",
-}
-
 FEATURE_NAMES = (
     ["mean_p", "max_p", "variability", "peak_count", "duration"]
     + [f"row_mean_{r}" for r in range(GRID)]

@@ -212,25 +212,62 @@ def test_train_rejects_malformed_features(tmp_path):
 
 
 def test_infer_missing_model_returns_error(tmp_path, small_features):
-    assert run("infer", "--model", tmp_path / "nope.json",
-               "--features", small_features) == 1
+    with pytest.raises(SystemExit) as exc:
+        run("infer", "--model", tmp_path / "nope.json",
+            "--features", small_features)
+    message = str(exc.value)
+    assert message.startswith("error:")
+    assert "nope.json" in message
 
 
-@pytest.mark.parametrize("argv, payload", [
-    (["infer", "--model", "BAD", "--features", "FEATURES"], "{}"),
-    (["infer", "--model", "BAD", "--features", "FEATURES"], "[1, 2]"),
-    (["program", "--model", "BAD", "--out", "OUT"], "[1, 2]"),
+PARAMS = {"gamma_up": 0.1, "gamma_down": 0.1, "b_min": -1.0, "b_max": 1.0,
+          "sigma_c2c": 0.0}
+DIST = {"mean": [20.0, 0.0], "covariance": [[1.0, 0.0], [0.0, 0.01]]}
+MODEL = {"spec": {"layer_dims": [3, 2]}, "weights": [[0.0] * 6],
+         "biases": [[0.0, 0.0]], "classes": [0, 1]}
+TRAIN = ["train", "--features", "FEATURES", "--model-out", "OUT"]
+
+
+@pytest.mark.parametrize("argv, payload, named", [
+    (["infer", "--model", "BAD", "--features", "FEATURES"], "{}", "BAD"),
+    (["infer", "--model", "BAD", "--features", "FEATURES"], "[1, 2]", "BAD"),
+    (["program", "--model", "BAD", "--out", "OUT"], "[1, 2]", "BAD"),
     (["program", "--model", "MODEL", "--dist", "BAD", "--out", "OUT"],
-     "[1, 2]"),
-    (["simulate-trace", "--params", "BAD", "--out", "OUT"], "[1, 2]"),
-    (["simulate-trace", "--params", "BAD", "--out", "OUT"], "[{}]"),
+     "[1, 2]", "BAD"),
+    (["simulate-trace", "--params", "BAD", "--out", "OUT"], "[1, 2]", "BAD"),
+    (["simulate-trace", "--params", "BAD", "--out", "OUT"], "[{}]", "BAD"),
+    (["simulate-trace", "--params", "BAD", "--out", "OUT"],
+     json.dumps({**PARAMS, "gamma_up": None}), "BAD"),
+    (["program", "--model", "MODEL", "--dist", "BAD", "--out", "OUT"],
+     json.dumps({**DIST, "clamp_n_min": None}), "BAD"),
+    ([*TRAIN, "--mode", "ttv2", "--dist", "BAD"],
+     json.dumps({**DIST, "clamp_n_min": None}), "BAD"),
+    (["program", "--model", "BAD", "--out", "OUT"],
+     json.dumps({**MODEL, "spec": {"layer_dims": 5}}), "BAD"),
+    (["gen-data", "--config", "BAD", "--out", "OUT"], "5", "BAD"),
+    (["gen-data", "--config", "BAD", "--out", "OUT"], "[1, 2]", "BAD"),
+    (["gen-data", "--config", "BAD", "--out", "OUT"], '{"labels": [5]}',
+     "BAD"),
+    ([*TRAIN, "--config", "BAD"], '{"epochs": null}', "BAD"),
+    ([*TRAIN, "--config", "BAD"], "{epochs: 1}", "BAD"),
+    (["infer", "--model", "BAD", "--features", "FEATURES"], "not json",
+     "BAD"),
+    (["gen-data", "--speed-mix", "1,1,1", "--out", "OUT"], None,
+     "speed_mix"),
+    (["infer", "--model", "BAD", "--features", "FEATURES"], None, "BAD"),
 ], ids=["infer_empty_object", "infer_list", "program_list",
-        "program_dist_list", "simulate_list", "simulate_empty_record"])
+        "program_dist_list", "simulate_list", "simulate_empty_record",
+        "simulate_null_gamma", "program_dist_null_clamp",
+        "train_dist_null_clamp", "program_int_layer_dims", "config_int",
+        "config_list", "config_list_value", "config_null_value",
+        "config_not_json", "model_not_json",
+        "gen_spec_rejected", "infer_missing_model"])
 def test_malformed_json_payload_is_one_line_error(tmp_path, small_features,
-                                                  argv, payload):
-    """A JSON file of the wrong shape ends the command with one line."""
+                                                  argv, payload, named):
+    """Bad input ends the command with one `error:` line and status 1."""
     bad = tmp_path / "bad.json"
-    bad.write_text(payload)
+    if payload is not None:
+        bad.write_text(payload)
     model = tmp_path / "model.json"
     nn.save_model(nn.Network(nn.NetworkSpec((3, 2)), seed=0), model,
                   classes=[0, 1])
@@ -242,10 +279,11 @@ def test_malformed_json_payload_is_one_line_error(tmp_path, small_features,
          *(str(paths.get(a, a)) for a in argv)],
         env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
         text=True)
-    assert done.returncode != 0
+    assert done.returncode == 1
     assert "Traceback" not in done.stderr
     assert len(done.stderr.splitlines()) == 1
-    assert str(bad) in done.stderr
+    assert done.stderr.startswith("error:")
+    assert str(paths.get(named, named)) in done.stderr
 
 
 def test_fit_device_runs_without_scipy(tmp_path):
@@ -353,9 +391,12 @@ def test_fit_device_distribution_needs_two_traces(tmp_path):
     trace = tmp_path / "t.csv"
     assert run("simulate-trace", "--params", params_path,
                "--scheme", "2,40,40,80", "--out", trace) == 0
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         run("fit-device", "--traces", trace, "--scheme", "2,40,40,80",
             "--out", tmp_path / "f.json", "--dist-out", tmp_path / "d.json")
+    assert str(exc.value) == ("error: need at least 2 traces to build a "
+                              "distribution")
+    assert not (tmp_path / "f.json").exists()
 
 
 def test_malformed_scheme_is_rejected(tmp_path):
