@@ -15,6 +15,7 @@ import glob as globlib
 import hashlib
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -37,9 +38,10 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
         if unknown:
             raise ValueError(f"{path}: unknown config keys {sorted(unknown)}")
         for key, val in file_cfg.items():
-            if isinstance(val, bool) or not isinstance(val, (int, float, str)):
-                raise ValueError(f"{path}: config value {key} is not a number "
-                                 f"or a string")
+            if not (isinstance(val, str)
+                    or (type(val) in (int, float) and math.isfinite(val))):
+                raise ValueError(f"{path}: config value {key} is not a finite "
+                                 f"number or a string")
         cfg.update(file_cfg)
     for key in defaults:
         val = getattr(args, key, None)

@@ -249,6 +249,8 @@ TRAIN = ["train", "--features", "FEATURES", "--model-out", "OUT"]
     (["gen-data", "--config", "BAD", "--out", "OUT"], '{"labels": [5]}',
      "BAD"),
     ([*TRAIN, "--config", "BAD"], '{"epochs": null}', "BAD"),
+    (["gen-data", "--config", "BAD", "--out", "OUT"],
+     '{"per_label": Infinity}', "BAD"),
     ([*TRAIN, "--config", "BAD"], "{epochs: 1}", "BAD"),
     (["infer", "--model", "BAD", "--features", "FEATURES"], "not json",
      "BAD"),
@@ -260,6 +262,7 @@ TRAIN = ["train", "--features", "FEATURES", "--model-out", "OUT"]
         "simulate_null_gamma", "program_dist_null_clamp",
         "train_dist_null_clamp", "program_int_layer_dims", "config_int",
         "config_list", "config_list_value", "config_null_value",
+        "config_infinite_value",
         "config_not_json", "model_not_json",
         "gen_spec_rejected", "infer_missing_model"])
 def test_malformed_json_payload_is_one_line_error(tmp_path, small_features,
