@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import functools
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -49,6 +50,10 @@ class DeviceParams:
     sigma_c2c: float = DEFAULT_SIGMA_C2C
 
     def __post_init__(self):
+        # every comparison with NaN is false, so the checks below pass it
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         if not (self.b_min < 0.0 < self.b_max):
             raise ValueError("bounds must satisfy b_min < 0 < b_max")
         if self.gamma_up <= 0.0 or self.gamma_down <= 0.0:
@@ -641,8 +646,11 @@ def read_device_params(path):
 
     def record(d, what):
         d = json_object(path, d, keys, what)
-        return DeviceParams(**{k: json_float(path, d[k], f"{what} {k}")
-                               for k in keys})
+        values = {k: json_float(path, d[k], f"{what} {k}") for k in keys}
+        try:
+            return DeviceParams(**values)
+        except ValueError as e:
+            raise ValueError(f"{path}: {what}: {e}") from None
 
     if isinstance(payload, list):
         return [record(d, f"device record {i}") for i, d in enumerate(payload)]

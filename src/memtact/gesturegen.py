@@ -8,15 +8,15 @@ the frame count band. Everything is reproducible from (seed, gesture index).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from .data import derive_rng, stratified_split_indices
-from .tactile import GRID, GestureSeries, merge_labels_10_to_5
+from .tactile import GRID, SPEEDS, GestureSeries
 
 SPEED_BANDS = {"fast": (20, 40), "regular": (40, 60), "slow": (60, 90)}
-SPEED_ORDER = ("slow", "regular", "fast")
 DEFAULT_NOISE_STD = 0.02
 FORMAT_VERSION = 1
 
@@ -160,6 +160,16 @@ def _circle_frames(n, rng, direction: int) -> np.ndarray:
     return _render(pr, pc, env, rng.uniform(0.9, 1.25))
 
 
+# template label -> renderer and its arguments after (n, rng)
+_TEMPLATES = {
+    1: (_tap_frames, (1,)), 2: (_tap_frames, (2,)),
+    3: (_swipe_frames, ("row", +1, 1)), 4: (_swipe_frames, ("row", -1, 1)),
+    5: (_swipe_frames, ("col", +1, 1)), 6: (_swipe_frames, ("col", -1, 1)),
+    7: (_circle_frames, (+1,)), 8: (_circle_frames, (-1,)),
+    9: (_swipe_frames, ("row", -1, 2)), 10: (_swipe_frames, ("row", +1, 2)),
+}
+
+
 def generate_gesture(label: int, speed: str, rng: np.random.Generator, *,
                      noise_std: float = DEFAULT_NOISE_STD) -> GestureSeries:
     """Render one gesture of the given 10-class label and speed band."""
@@ -170,26 +180,8 @@ def generate_gesture(label: int, speed: str, rng: np.random.Generator, *,
     lo, hi = SPEED_BANDS[speed]
     n = int(rng.integers(lo, hi + 1))
     label = int(label)
-    if label == 1:
-        frames = _tap_frames(n, rng, bursts=1)
-    elif label == 2:
-        frames = _tap_frames(n, rng, bursts=2)
-    elif label == 3:
-        frames = _swipe_frames(n, rng, "row", +1, fingers=1)
-    elif label == 4:
-        frames = _swipe_frames(n, rng, "row", -1, fingers=1)
-    elif label == 5:
-        frames = _swipe_frames(n, rng, "col", +1, fingers=1)
-    elif label == 6:
-        frames = _swipe_frames(n, rng, "col", -1, fingers=1)
-    elif label == 7:
-        frames = _circle_frames(n, rng, +1)
-    elif label == 8:
-        frames = _circle_frames(n, rng, -1)
-    elif label == 9:
-        frames = _swipe_frames(n, rng, "row", -1, fingers=2)
-    else:
-        frames = _swipe_frames(n, rng, "row", +1, fingers=2)
+    render, extra = _TEMPLATES[label]
+    frames = render(n, rng, *extra)
     if noise_std > 0:
         frames = frames + rng.normal(0.0, noise_std, frames.shape)
     frames = np.clip(frames, 0.0, 1.0)
@@ -255,10 +247,7 @@ def _speed_allocation(count: int, mix) -> list[str]:
     order = np.argsort([base[i] - raw[i] for i in range(3)])
     for i in range(short):
         base[order[i]] += 1
-    out = []
-    for speed, k in zip(SPEED_ORDER, base):
-        out.extend([speed] * k)
-    return out
+    return [speed for speed, k in zip(SPEEDS, base) for _ in range(k)]
 
 
 def generate_dataset(spec: GenSpec) -> tuple[list[GestureSeries], dict]:
@@ -268,28 +257,19 @@ def generate_dataset(spec: GenSpec) -> tuple[list[GestureSeries], dict]:
     templates. Every gesture gets its own rng stream derived from
     (seed, gesture index), so generation order never matters.
     """
-    jobs = []  # (template label in 1..10, final label, speed)
-    if spec.label_set == 10:
-        for label in range(1, 11):
-            speeds = _speed_allocation(spec.samples_per_label, spec.speed_mix)
-            jobs.extend((label, label, s) for s in speeds)
-    else:
-        for coarse in range(1, 6):
-            speeds = _speed_allocation(spec.samples_per_label, spec.speed_mix)
-            pair = (2 * coarse - 1, 2 * coarse)
-            for k, s in enumerate(speeds):
-                template = pair[k % 2]
-                jobs.append((template, merge_labels_10_to_5(template), s))
+    # (template, label, speed): of 5 classes, c takes 2c - 1 and 2c in turn
+    group = 10 // spec.label_set
+    speeds = _speed_allocation(spec.samples_per_label, spec.speed_mix)
+    jobs = [(group * (label - 1) + 1 + k % group, label, s)
+            for label in range(1, spec.label_set + 1)
+            for k, s in enumerate(speeds)]
     gestures = []
     for gid, (template, final_label, speed) in enumerate(jobs):
         rng = derive_rng(spec.seed, gid)
         g = generate_gesture(template, speed, rng, noise_std=spec.noise_std)
-        if final_label != template:
-            g = GestureSeries(frames=g.frames, label=final_label, speed=g.speed)
+        g.label = final_label
         gestures.append(g)
-    counts = {}
-    for g in gestures:
-        counts[g.label] = counts.get(g.label, 0) + 1
+    counts = Counter(g.label for g in gestures)
     manifest = {
         "spec": asdict(spec),
         "seed": spec.seed,

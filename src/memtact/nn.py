@@ -496,7 +496,10 @@ def load_model(path):
                        ("classes", [] if classes is None else classes)):
         if not (isinstance(ints, list) and all(type(n) is int for n in ints)):
             raise ValueError(f"{path}: {what} is not a list of integers")
-    spec = NetworkSpec(tuple(dims))
+    try:
+        spec = NetworkSpec(tuple(dims))
+    except ValueError as e:
+        raise ValueError(f"{path}: layer_dims {dims}: {e}") from None
     if not all(isinstance(d[k], list) and len(d[k]) == spec.n_layers
                for k in ("weights", "biases")):
         raise ValueError(f"{path}: weights and biases need one list per "
@@ -504,6 +507,9 @@ def load_model(path):
     net = Network(spec, seed=0)
     for l in range(spec.n_layers):
         w = json_array(path, d["weights"][l], f"layer {l} weights")
+        if w.size != dims[l] * dims[l + 1]:
+            raise ValueError(f"{path}: layer {l} weights hold {w.size} "
+                             f"values, not {dims[l]}x{dims[l + 1]}")
         net.weights[l] = w.reshape(dims[l], dims[l + 1])
         net.biases[l] = json_array(path, d["biases"][l], f"layer {l} biases")
     scaler = None

@@ -15,6 +15,7 @@ accumulation instead of pairwise, which breaks the symmetry.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -254,20 +255,40 @@ def extract_features(series: GestureSeries) -> np.ndarray:
 # file formats
 
 
-def write_gestures_jsonl(gestures, path, decimals: int = 5) -> None:
+@functools.cache
+def _pressure_tokens() -> np.ndarray:
+    """repr(k / 1e5) for k = 0..100000: each 5-place value in [0, 1]."""
+    return np.fromiter((repr(k / 1e5).encode() for k in range(100001)),
+                       dtype="S7", count=100001)
+
+
+def write_gestures_jsonl(gestures, path) -> None:
     """One JSON record per gesture: {id, label, speed, frames}.
 
-    Pressures are rounded to `decimals` places to keep files manageable.
+    The text is json.dumps's of the frames rounded to 5 places. np.round is
+    rint(x * 1e5) / 1e5, so a rounded value in [0, 1] is row k of the token
+    table; json.dumps renders the others, -0.0 among them. Each token and
+    the separator after it fill one row of a NUL-padded record array, whose
+    bytes without the NULs are the frames' text.
     """
     with open(path, "w") as fh:
         for i, g in enumerate(gestures):
-            rec = {
-                "id": i,
-                "label": g.label,
-                "speed": g.speed,
-                "frames": np.round(g.frames, decimals).tolist(),
-            }
-            fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
+            k = np.rint(g.frames.reshape(-1, GRID * GRID) * 1e5)
+            lane = ~(k <= 1e5) | np.signbit(k)
+            tokens = _pressure_tokens()[np.where(lane, 0, k).astype(np.intp)]
+            if lane.any():
+                extra = [json.dumps(v) for v in (k[lane] / 1e5).tolist()]
+                tokens = tokens.astype(f"S{max(7, *map(len, extra))}")
+                tokens[lane] = extra
+            rec = np.empty(k.shape, dtype=[("v", tokens.dtype), ("s", "S5")])
+            rec["v"], rec["s"] = tokens, b","
+            rec["s"][:, GRID - 1::GRID] = b"],["
+            rec["s"][:, -1] = b"]],[["
+            rec["s"][-1, -1] = b"]]]"
+            head = json.dumps({"id": i, "label": g.label, "speed": g.speed},
+                              separators=(",", ":"))
+            body = rec.tobytes().translate(None, b"\0").decode()
+            fh.write(f'{head[:-1]},"frames":[[[{body}}}\n')
 
 
 def read_gestures_jsonl(path) -> list[GestureSeries]:

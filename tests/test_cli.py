@@ -91,7 +91,7 @@ def test_extract_rejects_non_integer_label(tmp_path, label):
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    """Only fit-device needs scipy, so it must not load at import time."""
+    """No command needs scipy, so importing the CLI must not load it."""
     src = Path(memtact.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(src))
     code = ("import sys, memtact.cli; "
@@ -238,12 +238,18 @@ TRAIN = ["train", "--features", "FEATURES", "--model-out", "OUT"]
     (["simulate-trace", "--params", "BAD", "--out", "OUT"], "[{}]", "BAD"),
     (["simulate-trace", "--params", "BAD", "--out", "OUT"],
      json.dumps({**PARAMS, "gamma_up": None}), "BAD"),
+    (["simulate-trace", "--params", "BAD", "--out", "OUT"],
+     json.dumps({**PARAMS, "gamma_up": float("nan")}), "BAD"),
     (["program", "--model", "MODEL", "--dist", "BAD", "--out", "OUT"],
      json.dumps({**DIST, "clamp_n_min": None}), "BAD"),
     ([*TRAIN, "--mode", "ttv2", "--dist", "BAD"],
      json.dumps({**DIST, "clamp_n_min": None}), "BAD"),
     (["program", "--model", "BAD", "--out", "OUT"],
      json.dumps({**MODEL, "spec": {"layer_dims": 5}}), "BAD"),
+    (["program", "--model", "BAD", "--out", "OUT"],
+     json.dumps({**MODEL, "spec": {"layer_dims": [3]}}), "BAD"),
+    (["program", "--model", "BAD", "--out", "OUT"],
+     json.dumps({**MODEL, "weights": [[0.0] * 3]}), "BAD"),
     (["gen-data", "--config", "BAD", "--out", "OUT"], "5", "BAD"),
     (["gen-data", "--config", "BAD", "--out", "OUT"], "[1, 2]", "BAD"),
     (["gen-data", "--config", "BAD", "--out", "OUT"], '{"labels": [5]}',
@@ -259,8 +265,10 @@ TRAIN = ["train", "--features", "FEATURES", "--model-out", "OUT"]
     (["infer", "--model", "BAD", "--features", "FEATURES"], None, "BAD"),
 ], ids=["infer_empty_object", "infer_list", "program_list",
         "program_dist_list", "simulate_list", "simulate_empty_record",
-        "simulate_null_gamma", "program_dist_null_clamp",
-        "train_dist_null_clamp", "program_int_layer_dims", "config_int",
+        "simulate_null_gamma", "simulate_nan_gamma",
+        "program_dist_null_clamp", "train_dist_null_clamp",
+        "program_int_layer_dims", "program_short_layer_dims",
+        "program_short_weights", "config_int",
         "config_list", "config_list_value", "config_null_value",
         "config_infinite_value",
         "config_not_json", "model_not_json",

@@ -106,6 +106,22 @@ def test_params_validation():
         make_params(sigma=-0.1)
     with pytest.raises(ValueError):
         make_params(gu=1.5, gd=1.5)     # fewer than 2 resolvable states
+    # every comparison with NaN is false: each non-finite field is named
+    for field in ("gamma_up", "gamma_down", "b_min", "b_max", "sigma_c2c"):
+        for value in (float("nan"), float("inf")):
+            kwargs = {"gamma_up": 0.1, "gamma_down": 0.1, field: value}
+            with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+                DeviceParams(**kwargs)
+
+
+def test_read_device_params_names_file_record_and_field(tmp_path):
+    path = tmp_path / "p.json"
+    path.write_text('[{"gamma_up": 0.1, "gamma_down": 0.1, "b_min": -1.0, '
+                    '"b_max": 1.0, "sigma_c2c": NaN}]')
+    with pytest.raises(ValueError) as exc:
+        read_device_params(path)
+    assert str(exc.value) == (f"{path}: device record 0: sigma_c2c must be "
+                              f"finite")
 
 
 # -- traces -----------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Network tests: digital SGD, analog two-tile training, programming, I/O."""
 
 import copy
+import json
 import math
 
 import numpy as np
@@ -634,6 +635,22 @@ def test_model_json_roundtrip_analog(tmp_path):
     x = derive_rng(19, 0).standard_normal((6, 5))
     np.testing.assert_allclose(back.forward(x),
                                analog.forward(x), atol=1e-9)
+
+
+def test_load_model_names_file_and_layer(tmp_path):
+    path = tmp_path / "model.json"
+    save_model(Network(NetworkSpec((3, 4, 2)), seed=0), path)
+    payload = json.loads(path.read_text())
+    payload["weights"][1] = [0.0] * 7
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError) as exc:
+        load_model(path)
+    assert str(exc.value) == f"{path}: layer 1 weights hold 7 values, not 4x2"
+    payload["spec"]["layer_dims"] = [3]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError) as exc:
+        load_model(path)
+    assert str(exc.value).startswith(f"{path}: layer_dims [3]: ")
 
 
 def test_history_csv_roundtrip(tmp_path):

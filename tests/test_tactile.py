@@ -1,5 +1,7 @@
 """Feature extraction tests: worked examples, symmetries, file formats."""
 
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -7,10 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from memtact.cli import main
 from memtact.data import derive_rng
 from memtact.tactile import (
     FEATURE_LENGTH,
     FEATURE_NAMES,
+    SPEEDS,
     GestureSeries,
     _resample_curve,
     centroid_trajectory,
@@ -394,6 +398,61 @@ def test_gestures_jsonl_roundtrip(tmp_path):
     again = tmp_path / "again.jsonl"
     write_gestures_jsonl(back, again)
     assert again.read_bytes() == path.read_bytes()
+
+
+# pressures where the writer's text is easy to get wrong: both zeros,
+# subnormals, the values where repr switches between 1e-05 and 0.0001, values
+# just below 1 that round to 1.0, and values above 1 up to near 1e300
+PRESSURES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-05, 5e-05, 1e-04, 0.999995,
+                     1.0, 1e300]),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 2.3e-308),
+    st.floats(0.0, 2e-4),
+    st.floats(0.99999, 1.0),
+    st.floats(1.0, 1e6),
+    st.floats(1e299, 1e301),
+)
+
+
+@st.composite
+def gesture_lists(draw):
+    """1-3 gestures of 1-6 frames: uniform pressures with PRESSURES values
+    scattered over them."""
+    gestures = []
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(1, 6))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        frames = rng.uniform(0.0, 1.0, size=81 * n)
+        special = draw(st.lists(PRESSURES, min_size=1, max_size=40))
+        frames[rng.integers(0, 81 * n, size=len(special))] = special
+        gestures.append(series(frames.reshape(n, 9, 9),
+                               label=draw(st.integers(1, 10)),
+                               speed=draw(st.sampled_from(SPEEDS))))
+    return gestures
+
+
+@PROPERTY
+@given(gestures=gesture_lists())
+def test_gestures_jsonl_matches_json_dumps(tmp_path_factory, gestures):
+    """The writer's bytes are json.dumps of the 5-place rounded frames."""
+    path = tmp_path_factory.mktemp("jsonl") / "g.jsonl"
+    write_gestures_jsonl(gestures, path)
+    expected = [json.dumps({"id": i, "label": g.label, "speed": g.speed,
+                            "frames": np.round(g.frames, 5).tolist()},
+                           separators=(",", ":"))
+                for i, g in enumerate(gestures)]
+    assert path.read_text().splitlines() == expected
+
+
+def test_gen_data_file_is_pinned(tmp_path):
+    """gen-data writes these exact bytes, hashed from the output of the
+    json.dumps writer that the token table replaced."""
+    out = tmp_path / "g.jsonl"
+    assert main(["gen-data", "--labels", "5", "--per-label", "4",
+                 "--seed", "3", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "9d210547c4c99e9418aa3b378ba205f57bc7ab39a2e8e1381862c2ea55f9c4b3")
 
 
 def test_read_gestures_rejects_empty_file(tmp_path):
