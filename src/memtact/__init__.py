@@ -26,7 +26,6 @@ from .crossbar import (
     AnalogTile,
     ProgramReport,
     UpdateStats,
-    map_weights_to_targets,
     weight_map_affine,
 )
 from .nn import (
@@ -55,13 +54,6 @@ from .tactile import (
     peak_count,
     preprocess,
 )
-from .gesturegen import (
-    GenSpec,
-    apply_augment,
-    augment,
-    generate_dataset,
-    generate_gesture,
-    split,
-)
+from .gesturegen import GenSpec, generate_dataset, generate_gesture
 
 __version__ = "0.1.0"

@@ -27,6 +27,9 @@ from .device import (
 # sign changes of a device's error (see AnalogTile.program_and_verify)
 ESCAPE_AFTER_FLIPS = 3
 
+# weight_map_affine puts a matrix's extremes on +-MARGIN of the half-range
+MARGIN = 0.9
+
 
 @dataclass(frozen=True)
 class UpdateStats:
@@ -76,10 +79,8 @@ class AnalogTile:
         self._symmetry = None
         self._scale_x = 0.0
         self._scale_d = 0.0
-        self.seed = int(seed)
-        self.stream_id = int(stream_id)
         self._rng = rng if rng is not None else np.random.default_rng(
-            [self.seed, self.stream_id])
+            [int(seed), int(stream_id)])
         # nominal state range used for weight mapping and tolerance floors
         self.nominal_b_min = float(np.median(self._b_lo))
         self.nominal_b_max = float(np.median(self._b_hi))
@@ -114,11 +115,9 @@ class AnalogTile:
         n, a = sample_stats_grid(dist, rows * cols, rng)
         gu, gd = gammas_from_stats(n, a)
         shape = (rows, cols)
-        tile = cls(gu.reshape(shape), gd.reshape(shape),
+        return cls(gu.reshape(shape), gd.reshape(shape),
                    np.full(shape, -1.0), np.full(shape, 1.0),
-                   np.full(shape, sigma_c2c),
-                   seed=seed, stream_id=stream_id, rng=rng)
-        return tile
+                   np.full(shape, sigma_c2c), rng=rng)
 
     # -- reads ------------------------------------------------------------
 
@@ -358,10 +357,11 @@ class ProgramReport:
     def mean_iterations(self) -> float:
         return float(self.iterations.mean())
 
-    def max_abs_rel_error(self, floor: float = 0.01) -> float:
-        """Largest |achieved - target| relative to max(|target|, floor)."""
+    @property
+    def max_abs_rel_error(self) -> float:
+        """Largest |achieved - target| relative to max(|target|, 0.01)."""
         err = np.abs(self.achieved - self.targets)
-        return float((err / np.maximum(np.abs(self.targets), floor)).max())
+        return float((err / np.maximum(np.abs(self.targets), 0.01)).max())
 
     def failure_causes(self) -> dict:
         """Why each unconverged device failed, as disjoint masks.
@@ -383,47 +383,35 @@ class ProgramReport:
             "devices": int(self.targets.size),
             "converged_fraction": self.converged_fraction,
             "mean_iterations": self.mean_iterations,
-            "max_abs_rel_error": self.max_abs_rel_error(),
+            "max_abs_rel_error": self.max_abs_rel_error,
             "unattainable": int((~self.attainable).sum()),
             "failure_causes": {cause: int(mask.sum()) for cause, mask
                                in self.failure_causes().items()},
         }
 
 
-def map_weights_to_targets(weights: np.ndarray, tile: AnalogTile, *,
-                           margin: float = 0.9) -> np.ndarray:
-    """Min-max map a weight matrix onto the central band of the tile range.
+def weight_map_affine(weights: np.ndarray, tile: AnalogTile
+                      ) -> tuple[float, float]:
+    """Coefficients (scale, offset) of the min-max map used for programming.
 
-    The extremes of `weights` land on +-margin of the nominal half-range
-    (so [-0.9, +0.9] for unit bounds). A constant matrix maps to zeros.
+    targets = scale * weights + offset puts the extremes of `weights` on
+    +-MARGIN of the nominal half-range ([-0.9, +0.9] for unit bounds). A
+    constant matrix yields (0, 0), mapping it to zeros; inference must then
+    keep the constant weight. Shape and finiteness guard model-file weights.
     """
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != tile.shape:
         raise ValueError("weight matrix shape must match the tile")
     if not np.all(np.isfinite(weights)):
         raise ValueError("weights must be finite")
-    scale, offset = weight_map_affine(weights, tile, margin=margin)
-    if scale == 0.0:
-        return np.zeros(tile.shape)
-    return scale * weights + offset
-
-
-def weight_map_affine(weights: np.ndarray, tile: AnalogTile, *,
-                      margin: float = 0.9) -> tuple[float, float]:
-    """Coefficients (scale, offset) of the min-max map used for programming.
-
-    targets = scale * weights + offset. A constant matrix yields (0, 0);
-    inference code must then fall back to the constant weight value.
-    """
-    weights = np.asarray(weights, dtype=np.float64)
     w_lo, w_hi = float(weights.min()), float(weights.max())
     span = w_hi - w_lo
     if span == 0.0:
         return 0.0, 0.0
     center = 0.5 * (tile.nominal_b_max + tile.nominal_b_min)
     half = 0.5 * (tile.nominal_b_max - tile.nominal_b_min)
-    t_lo = center - margin * half
-    t_hi = center + margin * half
+    t_lo = center - MARGIN * half
+    t_hi = center + MARGIN * half
     scale = (t_hi - t_lo) / span
     return scale, t_lo - w_lo * scale
 

@@ -37,9 +37,6 @@ class Dataset:
     def __len__(self) -> int:
         return self.x.shape[0]
 
-    def subset(self, idx) -> "Dataset":
-        return Dataset(self.x[idx], self.y[idx])
-
 
 @dataclass(frozen=True)
 class FeatureScaler:

@@ -673,10 +673,14 @@ def write_distribution(dist: DeviceDistribution, path, extra: dict | None = None
 def read_distribution(path) -> DeviceDistribution:
     d = json_object(path, read_json(path), ("mean", "covariance"),
                     "distribution")
-    return DeviceDistribution(
+    values = dict(
         mean=json_array(path, d["mean"], "distribution mean"),
         covariance=json_array(path, d["covariance"], "distribution covariance"),
         clamp_n_min=json_float(path, d.get("clamp_n_min", 2.0),
                                "distribution clamp_n_min"),
         clamp_asym=json_float(path, d.get("clamp_asym", 1.0 - 1e-6),
                               "distribution clamp_asym"))
+    try:
+        return DeviceDistribution(**values)
+    except ValueError as e:
+        raise ValueError(f"{path}: distribution: {e}") from None

@@ -13,7 +13,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .data import derive_rng, stratified_split_indices
+from .data import derive_rng
 from .tactile import GRID, SPEEDS, GestureSeries
 
 SPEED_BANDS = {"fast": (20, 40), "regular": (40, 60), "slow": (60, 90)}
@@ -58,14 +58,11 @@ def _render(path_r, path_c, amp_t, sigma) -> np.ndarray:
     return amp * np.exp(-d2 / (2.0 * sigma ** 2))
 
 
-def _plateau_envelope(n, amp, rng=None) -> np.ndarray:
+def _plateau_envelope(n, amp, rng) -> np.ndarray:
     """Soft-ramped constant envelope so contact builds up and releases."""
     t = np.arange(n, dtype=np.float64)
-    if rng is None:
-        ramp_in = ramp_out = max(2.0, 0.12 * n)
-    else:
-        ramp_in = max(2.0, rng.uniform(0.08, 0.22) * n)
-        ramp_out = max(2.0, rng.uniform(0.08, 0.22) * n)
+    ramp_in = max(2.0, rng.uniform(0.08, 0.22) * n)
+    ramp_out = max(2.0, rng.uniform(0.08, 0.22) * n)
     return amp * np.minimum(1.0, np.minimum(t / ramp_in, (n - 1 - t) / ramp_out))
 
 
@@ -188,57 +185,6 @@ def generate_gesture(label: int, speed: str, rng: np.random.Generator, *,
     return GestureSeries(frames=frames, label=label, speed=speed)
 
 
-def apply_augment(series: GestureSeries, *, amplitude: float = 1.0,
-                  shift: tuple[int, int] = (0, 0), time_factor: float = 1.0,
-                  noise_std: float = 0.0, rng=None) -> GestureSeries:
-    """Deterministic augmentation core; identity parameters return the input.
-
-    Order: temporal resample, spatial shift (zero padded), amplitude scale,
-    additive noise clipped at zero. The resampled length is clamped to
-    [ceil(0.85 n), floor(1.15 n)] so duration never moves more than 15%.
-    """
-    frames = series.frames
-    n = frames.shape[0]
-    if time_factor != 1.0:
-        n_new = int(round(n * time_factor))
-        n_new = int(np.clip(n_new, max(1, int(np.ceil(0.85 * n))),
-                            max(1, int(np.floor(1.15 * n)))))
-        t_old = np.arange(n, dtype=np.float64)
-        t_new = np.linspace(0.0, n - 1.0, n_new)
-        flat = frames.reshape(n, -1)
-        frames = np.stack([np.interp(t_new, t_old, flat[:, k])
-                           for k in range(flat.shape[1])], axis=1
-                          ).reshape(n_new, GRID, GRID)
-    dr, dc = int(shift[0]), int(shift[1])
-    if dr or dc:
-        shifted = np.zeros_like(frames)
-        src_r = slice(max(0, -dr), GRID - max(0, dr))
-        dst_r = slice(max(0, dr), GRID - max(0, -dr))
-        src_c = slice(max(0, -dc), GRID - max(0, dc))
-        dst_c = slice(max(0, dc), GRID - max(0, -dc))
-        shifted[:, dst_r, dst_c] = frames[:, src_r, src_c]
-        frames = shifted
-    if amplitude != 1.0:
-        frames = frames * amplitude
-    if noise_std > 0:
-        if rng is None:
-            raise ValueError("noise_std > 0 requires an rng")
-        frames = np.maximum(frames + rng.normal(0.0, noise_std, frames.shape),
-                            0.0)
-    return GestureSeries(frames=frames, label=series.label, speed=series.speed)
-
-
-def augment(series: GestureSeries, rng: np.random.Generator, *,
-            noise_std: float = 0.01) -> GestureSeries:
-    """Random augmentation: amplitude, +-1 taxel shift, time warp, noise."""
-    return apply_augment(
-        series,
-        amplitude=float(rng.uniform(0.8, 1.2)),
-        shift=(int(rng.integers(-1, 2)), int(rng.integers(-1, 2))),
-        time_factor=float(rng.uniform(0.85, 1.15)),
-        noise_std=noise_std, rng=rng)
-
-
 def _speed_allocation(count: int, mix) -> list[str]:
     """Deterministic largest-remainder split of count over the speed bands."""
     raw = [count * f for f in mix]
@@ -279,11 +225,3 @@ def generate_dataset(spec: GenSpec) -> tuple[list[GestureSeries], dict]:
     }
     return gestures, manifest
 
-
-def split(dataset, test_fraction: float, rng: np.random.Generator
-          ) -> tuple[list, list]:
-    """Stratified train/test split of a list of gestures."""
-    dataset = list(dataset)
-    labels = np.array([g.label for g in dataset])
-    train_idx, test_idx = stratified_split_indices(labels, test_fraction, rng)
-    return [dataset[i] for i in train_idx], [dataset[i] for i in test_idx]

@@ -20,8 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .crossbar import AnalogTile, ProgramReport, map_weights_to_targets, \
-    weight_map_affine
+from .crossbar import AnalogTile, ProgramReport, weight_map_affine
 from .data import Dataset, FeatureScaler, derive_rng
 from .device import DEFAULT_SIGMA_C2C, DeviceDistribution, \
     default_distribution, json_array, json_object, read_json
@@ -423,7 +422,7 @@ def train_ttv2(spec: NetworkSpec, train: Dataset, dist: DeviceDistribution,
 
 def program_network(net: Network, dist: DeviceDistribution | None = None, *,
                     seed: int = 0, epsilon: float = 0.02, max_iter: int = 200,
-                    margin: float = 0.9, sigma_c2c=None
+                    sigma_c2c=None
                     ) -> tuple[AnalogNetwork, list[ProgramReport]]:
     """Map a digital network onto tiles via program-and-verify.
 
@@ -440,10 +439,11 @@ def program_network(net: Network, dist: DeviceDistribution | None = None, *,
         tile = AnalogTile.from_distribution(
             w.shape[0], w.shape[1], dist, seed=seed, stream_id=20 + l,
             sigma_c2c=sigma_c2c)
-        targets = map_weights_to_targets(w, tile, margin=margin)
-        reports.append(tile.program_and_verify(targets, epsilon=epsilon,
+        scale, offset = weight_map_affine(w, tile)
+        # (0, 0) maps a constant w to +0.0 even if w < 0: -0.0 + 0.0 is +0.0
+        reports.append(tile.program_and_verify(scale * w + offset,
+                                               epsilon=epsilon,
                                                max_iter=max_iter))
-        scale, offset = weight_map_affine(w, tile, margin=margin)
         if scale == 0.0:
             # constant matrix: drop the map and keep the constant digitally
             scale, offset = 1.0, 0.0
@@ -511,7 +511,11 @@ def load_model(path):
             raise ValueError(f"{path}: layer {l} weights hold {w.size} "
                              f"values, not {dims[l]}x{dims[l + 1]}")
         net.weights[l] = w.reshape(dims[l], dims[l + 1])
-        net.biases[l] = json_array(path, d["biases"][l], f"layer {l} biases")
+        b = json_array(path, d["biases"][l], f"layer {l} biases")
+        if b.shape != (dims[l + 1],):
+            raise ValueError(f"{path}: layer {l} biases are not a list of "
+                             f"{dims[l + 1]} numbers")
+        net.biases[l] = b
     scaler = None
     if d.get("scaler"):
         s = json_object(path, d["scaler"], ("mean", "std"), "scaler")

@@ -133,10 +133,9 @@ def peak_count(series: GestureSeries) -> int:
     return _count_peaks(_frame_totals(series.frames))
 
 
-def contact_area(series: GestureSeries, theta: float = AREA_THRESHOLD
-                 ) -> tuple[float, float]:
-    """(max, mean) number of taxels above the pressure threshold per frame."""
-    counts = (series.frames > theta).sum(axis=(1, 2))
+def contact_area(series: GestureSeries) -> tuple[float, float]:
+    """(max, mean) number of taxels above AREA_THRESHOLD per frame."""
+    counts = (series.frames > AREA_THRESHOLD).sum(axis=(1, 2))
     return float(counts.max()), float(counts.sum()) / len(counts)
 
 
@@ -339,22 +338,34 @@ def write_features_csv(features: np.ndarray, labels, path,
 
 
 def read_features_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    rows = []
-    labels = []
+    """Feature rows, each FEATURE_LENGTH numbers and an integer label; a
+    ValueError names the file, and a bad row its line."""
+    columns = FEATURE_NAMES + ["label"]
+    rows, labels = [], []
     header = None
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
+            parts = line.split(",")
             if header is None:
-                header = line.split(",")
-                if header != FEATURE_NAMES + ["label"]:
+                header = parts
+                if header != columns:
                     raise ValueError(f"{path}: unexpected feature header")
                 continue
-            parts = line.split(",")
-            rows.append([float(v) for v in parts[:-1]])
-            labels.append(int(parts[-1]))
-    if header is None or not rows:
+            try:
+                if len(parts) != len(columns):
+                    raise ValueError(f"{len(parts)} fields, not {len(columns)}")
+                if not parts[-1].lstrip("-").isdecimal():
+                    raise ValueError(f"label {parts[-1]!r} is not an integer")
+                rows.append([float(v) for v in parts[:-1]])
+                labels.append(int(parts[-1]))
+            except ValueError as e:
+                raise ValueError(f"{path}, line {lineno}: {e}") from None
+    if not rows:
         raise ValueError(f"{path}: no feature rows")
-    return np.asarray(rows, dtype=np.float64), np.asarray(labels, dtype=np.int64)
+    x = np.asarray(rows, dtype=np.float64)
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"{path}: features must be finite")
+    return x, np.asarray(labels, dtype=np.int64)

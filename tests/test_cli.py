@@ -1,5 +1,6 @@
 """End-to-end command line tests, run in process against temp directories."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -12,6 +13,7 @@ import pytest
 import memtact
 from memtact import device, nn, tactile
 from memtact.cli import main
+from memtact.data import FeatureScaler
 
 
 def run(*argv) -> int:
@@ -195,6 +197,27 @@ def test_program_report_file_bytes(tmp_path):
         b"1,1,1,0.1499999999999999,0.15303799331700266,1,1\r\n")
 
 
+def test_program_output_is_pinned(tmp_path):
+    """program writes these exact bytes for a two-layer model whose second
+    layer is constant, so that layer programs +0.0 targets and keeps its
+    negative constant digitally."""
+    net = nn.Network(nn.NetworkSpec((3, 2, 2)), seed=0)
+    net.weights[0] = np.array([[0.5, -0.25], [0.125, 0.75], [-1.0, 0.0]])
+    net.weights[1] = np.full((2, 2), -0.375)
+    net.biases = [np.array([0.1, -0.2]), np.array([0.0, 0.3])]
+    scaler = FeatureScaler(mean=np.array([0.5, -1.0, 2.0]),
+                           std=np.array([1.0, 0.0, 0.25]))
+    model = tmp_path / "m.json"
+    nn.save_model(net, model, scaler=scaler, classes=[2, 4])
+    out, report = tmp_path / "p.json", tmp_path / "r.csv"
+    assert run("program", "--model", model, "--seed", 5, "--out", out,
+               "--report-out", report) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "d5127a692b881fd74bee7da4a970ca210ace9844fac7665ac45245d8ba236310")
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == (
+        "ca9f6038b788f7c7231337daf16eccef068dea4ad214abf193d603e48b523f25")
+
+
 def test_train_zero_epochs_gives_empty_history(tmp_path, small_features):
     model = tmp_path / "m.json"
     history = tmp_path / "h.csv"
@@ -226,6 +249,12 @@ DIST = {"mean": [20.0, 0.0], "covariance": [[1.0, 0.0], [0.0, 0.01]]}
 MODEL = {"spec": {"layer_dims": [3, 2]}, "weights": [[0.0] * 6],
          "biases": [[0.0, 0.0]], "classes": [0, 1]}
 TRAIN = ["train", "--features", "FEATURES", "--model-out", "OUT"]
+TRAIN_BAD = ["train", "--features", "BAD", "--model-out", "OUT"]
+ROW = ",".join(["0.5"] * tactile.FEATURE_LENGTH + ["1"])
+
+
+def features_text(*rows) -> str:
+    return "\n".join([",".join(tactile.FEATURE_NAMES + ["label"]), *rows])
 
 
 @pytest.mark.parametrize("argv, payload, named", [
@@ -250,6 +279,15 @@ TRAIN = ["train", "--features", "FEATURES", "--model-out", "OUT"]
      json.dumps({**MODEL, "spec": {"layer_dims": [3]}}), "BAD"),
     (["program", "--model", "BAD", "--out", "OUT"],
      json.dumps({**MODEL, "weights": [[0.0] * 3]}), "BAD"),
+    (["program", "--model", "BAD", "--out", "OUT"],
+     json.dumps({**MODEL, "biases": [[0.0] * 3]}), "BAD"),
+    (["program", "--model", "MODEL", "--dist", "BAD", "--out", "OUT"],
+     json.dumps({**DIST, "covariance": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]}),
+     "BAD"),
+    (TRAIN_BAD, features_text(*[",".join(["0.5"] * 9 + ["1"])] * 8), "BAD"),
+    (TRAIN_BAD, features_text(ROW, ROW, "0.5,1"), "BAD"),
+    (TRAIN_BAD, features_text(ROW, "x" + ROW[3:]), "BAD"),
+    (TRAIN_BAD, features_text(ROW, ROW[:-1] + "1.5"), "BAD"),
     (["gen-data", "--config", "BAD", "--out", "OUT"], "5", "BAD"),
     (["gen-data", "--config", "BAD", "--out", "OUT"], "[1, 2]", "BAD"),
     (["gen-data", "--config", "BAD", "--out", "OUT"], '{"labels": [5]}',
@@ -268,7 +306,10 @@ TRAIN = ["train", "--features", "FEATURES", "--model-out", "OUT"]
         "simulate_null_gamma", "simulate_nan_gamma",
         "program_dist_null_clamp", "train_dist_null_clamp",
         "program_int_layer_dims", "program_short_layer_dims",
-        "program_short_weights", "config_int",
+        "program_short_weights", "program_long_biases",
+        "program_dist_2x3_covariance", "train_ten_field_rows",
+        "train_one_short_row", "train_text_feature",
+        "train_fractional_label", "config_int",
         "config_list", "config_list_value", "config_null_value",
         "config_infinite_value",
         "config_not_json", "model_not_json",

@@ -11,7 +11,6 @@ from memtact.crossbar import (
     ESCAPE_AFTER_FLIPS,
     AnalogTile,
     UpdateStats,
-    map_weights_to_targets,
     weight_map_affine,
     write_program_report_csv,
 )
@@ -271,29 +270,29 @@ def test_same_stream_reproduces_update_sequence():
 # -- weight mapping ---------------------------------------------------------
 
 
-def test_map_weights_symmetric_range():
+@pytest.mark.parametrize("w, expected", [
+    ([[-2.0, 2.0], [0.0, 1.0]], [[-0.9, 0.9], [0.0, 0.45]]),
+    ([[-0.7, -0.7], [-0.7, -0.7]], [[0.0, 0.0], [0.0, 0.0]]),
+    ([[-0.9, 0.9], [0.3, -0.2]], [[-0.9, 0.9], [0.3, -0.2]]),
+    ([[np.nan, 0.0], [0.0, 1.0]], None),
+    ([[np.inf, 0.0], [0.0, 1.0]], None),
+    ([[0.0, 1.0]], None),
+], ids=["symmetric_range", "constant_to_zeros", "full_band_identity",
+        "nan_rejected", "inf_rejected", "shape_rejected"])
+def test_weight_map_affine(w, expected):
+    """Extremes land on +-0.9 of unit bounds, a constant matrix on +0.0
+    everywhere, a matrix already spanning that band on itself; non-finite
+    or misshapen weights raise."""
+    w = np.array(w)
     tile = AnalogTile.uniform(2, 2, SYM)
-    w = np.array([[-2.0, 2.0], [0.0, 1.0]])
-    targets = map_weights_to_targets(w, tile)
-    assert targets.min() == -0.9 and targets.max() == 0.9
-    assert targets[1, 0] == 0.0
+    if expected is None:
+        with pytest.raises(ValueError):
+            weight_map_affine(w, tile)
+        return
     scale, offset = weight_map_affine(w, tile)
-    assert np.allclose(targets, scale * w + offset)
-
-
-def test_map_constant_matrix_to_zeros():
-    tile = AnalogTile.uniform(2, 2, SYM)
-    w = np.full((2, 2), 0.7)
-    assert np.array_equal(map_weights_to_targets(w, tile), np.zeros((2, 2)))
-    assert weight_map_affine(w, tile) == (0.0, 0.0)
-
-
-def test_map_leaves_full_band_matrix_unchanged():
-    tile = AnalogTile.uniform(2, 2, SYM)
-    w = np.array([[-0.9, 0.9], [0.3, -0.2]])
-    scale, offset = weight_map_affine(w, tile)
-    assert scale == 1.0 and offset == 0.0
-    assert np.array_equal(map_weights_to_targets(w, tile), w)
+    targets = scale * w + offset
+    assert np.array_equal(targets, expected)
+    assert np.array_equal(np.signbit(targets), np.signbit(expected))
 
 
 # -- programming ------------------------------------------------------------

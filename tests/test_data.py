@@ -14,9 +14,6 @@ from memtact.data import (
 def test_dataset_validation_and_subset():
     ds = Dataset(np.arange(12.0).reshape(4, 3), np.array([0, 1, 0, 1]))
     assert len(ds) == 4
-    sub = ds.subset([2, 0])
-    assert np.array_equal(sub.x, ds.x[[2, 0]])
-    assert np.array_equal(sub.y, [0, 0])
     with pytest.raises(ValueError):
         Dataset(np.zeros(4), np.zeros(4))
     with pytest.raises(ValueError):

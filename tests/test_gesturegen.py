@@ -1,4 +1,4 @@
-"""Generator tests: class geometry, augmentation, dataset assembly."""
+"""Generator tests: class geometry and dataset assembly."""
 
 import numpy as np
 import pytest
@@ -8,11 +8,8 @@ from memtact.gesturegen import (
     DEFAULT_NOISE_STD,
     GenSpec,
     SPEED_BANDS,
-    apply_augment,
-    augment,
     generate_dataset,
     generate_gesture,
-    split,
 )
 from memtact.tactile import (
     SPEEDS,
@@ -112,54 +109,6 @@ def test_generate_gesture_validation():
         generate_gesture(3, "turbo", rng)
 
 
-# -- augmentation ---------------------------------------------------------------
-
-
-def test_apply_augment_identity_is_bitwise():
-    g = generate_gesture(5, "fast", derive_rng(39, 0))
-    out = apply_augment(g)
-    assert np.array_equal(out.frames, g.frames)
-    assert out.label == g.label and out.speed == g.speed
-
-
-def test_apply_augment_duration_clamp():
-    g = generate_gesture(1, "regular", derive_rng(39, 1))
-    n = len(g)
-    assert len(apply_augment(g, time_factor=3.0)) == int(np.floor(1.15 * n))
-    assert len(apply_augment(g, time_factor=0.1)) == int(np.ceil(0.85 * n))
-    assert len(apply_augment(g, time_factor=1.05)) == int(round(1.05 * n))
-
-
-def test_apply_augment_shift_zero_pads():
-    g = generate_gesture(1, "fast", derive_rng(39, 2))
-    out = apply_augment(g, shift=(1, 2))
-    assert np.array_equal(out.frames[:, 1:, 2:], g.frames[:, :-1, :-2])
-    assert np.all(out.frames[:, 0, :] == 0.0)
-    assert np.all(out.frames[:, :, :2] == 0.0)
-
-
-def test_apply_augment_amplitude_scales_frames():
-    g = generate_gesture(7, "fast", derive_rng(39, 3))
-    out = apply_augment(g, amplitude=0.5)
-    assert np.array_equal(out.frames, 0.5 * g.frames)
-
-
-def test_apply_augment_noise_needs_rng():
-    g = generate_gesture(1, "fast", derive_rng(39, 4))
-    with pytest.raises(ValueError):
-        apply_augment(g, noise_std=0.1)
-
-
-def test_augment_keeps_series_valid():
-    rng = derive_rng(39, 5)
-    g = generate_gesture(8, "slow", rng)
-    out = augment(g, rng)
-    assert out.frames.min() >= 0.0
-    assert out.label == g.label
-    n = len(g)
-    assert int(np.ceil(0.85 * n)) <= len(out) <= int(np.floor(1.15 * n))
-
-
 # -- dataset assembly ------------------------------------------------------------
 
 
@@ -215,19 +164,6 @@ def test_five_label_set_mixes_both_source_templates():
         tx, _, _ = centroid_trajectory(preprocess(g))
         going_right += int(tx[-1] > tx[0])
     assert going_right == 3
-
-
-def test_split_is_stratified_and_reproducible():
-    gestures, _ = generate_dataset(GenSpec(samples_per_label=8, label_set=5,
-                                           seed=4))
-    train_a, test_a = split(gestures, 0.25, derive_rng(4, 7))
-    assert len(train_a) == 30 and len(test_a) == 10
-    test_labels = [g.label for g in test_a]
-    assert {k: test_labels.count(k) for k in range(1, 6)} == \
-        {k: 2 for k in range(1, 6)}
-    train_b, test_b = split(gestures, 0.25, derive_rng(4, 7))
-    assert all(a is b for a, b in zip(train_a, train_b))
-    assert all(a is b for a, b in zip(test_a, test_b))
 
 
 def test_default_noise_level():

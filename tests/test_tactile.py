@@ -490,6 +490,30 @@ def test_features_csv_rejects_header_only(tmp_path):
         read_features_csv(path)
 
 
+GOOD_ROW = ",".join(["0.5"] * FEATURE_LENGTH + ["3"])
+
+
+@pytest.mark.parametrize("row, message", [
+    ("0.5,3", ", line 4: 2 fields, not 39"),
+    (GOOD_ROW + ",3", ", line 4: 40 fields, not 39"),
+    ("x" + GOOD_ROW[3:], ", line 4: could not convert string to float: 'x'"),
+    (GOOD_ROW[:-1] + "1.5", ", line 4: label '1.5' is not an integer"),
+    (GOOD_ROW[:-1], ", line 4: label '' is not an integer"),
+    ("nan" + GOOD_ROW[3:], ": features must be finite"),
+], ids=["short", "long", "text_feature", "fractional_label", "no_label",
+        "nan_feature"])
+def test_features_csv_names_file_and_bad_line(tmp_path, row, message):
+    """A row that does not match the header fails with the file named and,
+    where one row is at fault, its line."""
+    path = tmp_path / "f.csv"
+    write_features_csv(np.zeros((1, FEATURE_LENGTH)), [1], path,
+                       header_lines=["hash=0"])
+    path.write_text(path.read_text() + row + "\n")
+    with pytest.raises(ValueError) as exc:
+        read_features_csv(path)
+    assert str(exc.value) == f"{path}{message}"
+
+
 def test_features_csv_shape_validation(tmp_path):
     with pytest.raises(ValueError):
         write_features_csv(np.zeros((2, 7)), [1, 2], tmp_path / "x.csv")
