@@ -150,8 +150,8 @@ def cmd_fit_device(args) -> int:
                 seed=int(cfg["seed"]))
         except ValueError as e:
             raise ValueError(f"{path}: {e}") from None
-        log.info("fit %s: residual %.3g after %d evals", path, report.mad,
-                 report.evaluations)
+        log.info("fit %s: residual %.3g after %d searches, %d evals", path,
+                 report.mad, report.restarts, report.evaluations)
         fitted.append(params)
     device.write_device_params(fitted if len(fitted) > 1 else fitted[0],
                                args.out)
@@ -244,10 +244,14 @@ def cmd_program(args) -> int:
     return 0
 
 
-def _model_accuracy(model_path, x, y) -> float:
+def _model_accuracy(model_path, features_path, x, y) -> float:
     net, scaler, classes = nn.load_model(model_path)
     if classes is None:
         raise ValueError(f"{model_path} lacks a class list")
+    if x.shape[1] != net.spec.layer_dims[0]:
+        raise ValueError(f"{features_path} holds {x.shape[1]} features per "
+                         f"row, but {model_path} takes "
+                         f"{net.spec.layer_dims[0]}")
     index = {int(c): i for i, c in enumerate(classes)}
     try:
         y_enc = np.array([index[int(v)] for v in y])
@@ -261,11 +265,11 @@ def cmd_infer(args) -> int:
     defaults = dict(seed=0)
     cfg = _resolve(args, defaults)
     x, y = tactile.read_features_csv(args.features)
-    acc = _model_accuracy(args.model, x, y)
+    acc = _model_accuracy(args.model, args.features, x, y)
     report = {"model": str(args.model), "accuracy": acc, "samples": len(y),
               "config_hash": _config_hash(cfg)}
     if args.baseline:
-        base = _model_accuracy(args.baseline, x, y)
+        base = _model_accuracy(args.baseline, args.features, x, y)
         report["baseline_accuracy"] = base
         report["accuracy_gap"] = base - acc
     text = json.dumps(report, indent=2)

@@ -244,6 +244,10 @@ class FitReport:
     restarts: int
 
 
+# Relative MAD gap within which a noisy fit's first two searches count as
+# one basin, so that the other starts are skipped; read at call time
+FIT_AGREE_RTOL = 1e-6
+
 # Nelder & Mead (1965) with scipy's default coefficients: reflection,
 # expansion, contraction and shrink
 _RHO, _CHI, _PSI, _SIGMA = 1, 2, 0.5, 0.5
@@ -367,12 +371,18 @@ def fit_softbounds(trace: Trace, scheme: PulseScheme, *, restarts: int = 8,
     contraction 0.5, shrink 0.5) from up to two heuristic starts plus
     restarts - 1 random ones, minimizing the mean absolute deviation between
     the noise-free model response and the trace. A search that stalls above
-    f_tol is run once more from where it stopped. Starts stop early once the
-    residual drops below f_tol, which noise-free traces normally reach on
-    the first start, so that start runs alone. The others run in lockstep,
-    the points they wait on evaluated through one batched model call per
-    round, and their results are taken in start order: the outcome is the
-    same as running them one after another.
+    f_tol is run once more from where it stopped. The fit stops at the first
+    residual below f_tol, which noise-free traces normally reach on the
+    first start, so that start runs alone. So does the second: a noisy trace
+    never gets under f_tol, but when the first two residuals agree within
+    FIT_AGREE_RTOL, relative, the better of the two is kept (the first on a
+    tie) and the other starts are skipped, as further starts are unlikely to
+    find a better basin (Boender & Rinnooy Kan 1987). Otherwise the other
+    starts run in lockstep, the points they wait on evaluated through one
+    batched model call per round, and their results are taken in start
+    order: the outcome is the same as running them one after another. The
+    report counts the searches and evaluations up to the one that stopped
+    the fit.
     """
     samples = np.asarray(trace.samples, dtype=np.float64)
     expected = scheme.total_pulses() + 1
@@ -455,24 +465,25 @@ def fit_softbounds(trace: Trace, scheme: PulseScheme, *, restarts: int = 8,
         return x, fun, nfev
 
     def outcomes():
-        yield from _lockstep([search(starts[0])], evaluate)
-        yield from _lockstep([search(x0) for x0 in starts[1:]], evaluate)
+        for group in (starts[:1], starts[1:2], starts[2:]):
+            yield from _lockstep([search(x0) for x0 in group], evaluate)
 
     best = None
     evals = 0
-    used = 0
+    funs = []
     for x, fun, nfev in outcomes():
         evals += nfev
-        used += 1
+        funs.append(fun)
         if best is None or fun < best[1]:
             best = x, fun
-        if best[1] < f_tol:
+        if best[1] < f_tol or (len(funs) == 2 and abs(funs[0] - funs[1])
+                               <= FIT_AGREE_RTOL * min(funs)):
             break
     (gu, gd, b_lo, b_hi), mad = best
     params = DeviceParams(gamma_up=float(gu), gamma_down=float(gd),
                           b_min=float(b_lo), b_max=float(b_hi), sigma_c2c=0.0)
     return params, FitReport(mad=float(mad), evaluations=evals,
-                             restarts=used)
+                             restarts=len(funs))
 
 
 @dataclass(frozen=True)

@@ -519,8 +519,14 @@ def load_model(path):
     scaler = None
     if d.get("scaler"):
         s = json_object(path, d["scaler"], ("mean", "std"), "scaler")
-        scaler = FeatureScaler.from_dict(
-            {k: json_array(path, s[k], f"scaler {k}") for k in ("mean", "std")})
+        s = {k: json_array(path, s[k], f"scaler {k}") for k in ("mean", "std")}
+        for k, v in s.items():
+            if v.shape != (dims[0],):
+                held = f"{v.size} values" if v.ndim == 1 \
+                    else f"an array of shape {v.shape}"
+                raise ValueError(f"{path}: scaler {k} holds {held}, "
+                                 f"not {dims[0]}")
+        scaler = FeatureScaler.from_dict(s)
     return net, scaler, classes
 
 

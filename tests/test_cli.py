@@ -284,6 +284,12 @@ def features_text(*rows) -> str:
     (["program", "--model", "MODEL", "--dist", "BAD", "--out", "OUT"],
      json.dumps({**DIST, "covariance": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]}),
      "BAD"),
+    (["program", "--model", "BAD", "--out", "OUT"],
+     json.dumps({**MODEL, "scaler": {"mean": [0.0] * 5, "std": [1.0] * 3}}),
+     "BAD"),
+    (["infer", "--model", "BAD", "--features", "FEATURES"],
+     json.dumps({**MODEL, "scaler": {"mean": [0.0] * 3, "std": [[1.0] * 3]}}),
+     "BAD"),
     (TRAIN_BAD, features_text(*[",".join(["0.5"] * 9 + ["1"])] * 8), "BAD"),
     (TRAIN_BAD, features_text(ROW, ROW, "0.5,1"), "BAD"),
     (TRAIN_BAD, features_text(ROW, "x" + ROW[3:]), "BAD"),
@@ -307,7 +313,8 @@ def features_text(*rows) -> str:
         "program_dist_null_clamp", "train_dist_null_clamp",
         "program_int_layer_dims", "program_short_layer_dims",
         "program_short_weights", "program_long_biases",
-        "program_dist_2x3_covariance", "train_ten_field_rows",
+        "program_dist_2x3_covariance", "program_short_scaler_mean",
+        "infer_nested_scaler_std", "train_ten_field_rows",
         "train_one_short_row", "train_text_feature",
         "train_fractional_label", "config_int",
         "config_list", "config_list_value", "config_null_value",
@@ -336,6 +343,19 @@ def test_malformed_json_payload_is_one_line_error(tmp_path, small_features,
     assert len(done.stderr.splitlines()) == 1
     assert done.stderr.startswith("error:")
     assert str(paths.get(named, named)) in done.stderr
+
+
+def test_infer_rejects_features_of_another_width(tmp_path, small_features):
+    """A model's input width and the feature count disagree: one error line
+    that names both files, not numpy's matmul error."""
+    model = tmp_path / "model.json"
+    nn.save_model(nn.Network(nn.NetworkSpec((3, 5)), seed=0), model,
+                  classes=[1, 2, 3, 4, 5])
+    with pytest.raises(SystemExit) as exc:
+        run("infer", "--model", model, "--features", small_features)
+    assert str(exc.value) == (
+        f"error: {small_features} holds {tactile.FEATURE_LENGTH} features "
+        f"per row, but {model} takes 3")
 
 
 def test_fit_device_runs_without_scipy(tmp_path):

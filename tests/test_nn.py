@@ -646,6 +646,12 @@ def test_load_model_names_file_and_layer(tmp_path):
     with pytest.raises(ValueError) as exc:
         load_model(path)
     assert str(exc.value) == f"{path}: layer 1 weights hold 7 values, not 4x2"
+    payload["weights"][1] = [0.0] * 8
+    payload["scaler"] = {"mean": [0.0] * 5, "std": [1.0] * 3}
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError) as exc:
+        load_model(path)
+    assert str(exc.value) == f"{path}: scaler mean holds 5 values, not 3"
     payload["spec"]["layer_dims"] = [3]
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError) as exc:
