@@ -79,7 +79,11 @@ def cmd_gen_data(args) -> int:
     mix = []
     for part in str(cfg["speed_mix"]).split(","):
         num, _, den = part.partition("/")
-        mix.append(float(num) / float(den) if den else float(num))
+        try:
+            mix.append(float(num) / float(den) if den else float(num))
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"speed_mix {part!r} is not a number or a "
+                             f"fraction") from None
     spec = gesturegen.GenSpec(
         samples_per_label=int(cfg["per_label"]), label_set=int(cfg["labels"]),
         speed_mix=tuple(mix), noise_std=float(cfg["noise"]),

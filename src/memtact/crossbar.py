@@ -49,14 +49,12 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 class AnalogTile:
     """Grid of soft-bounds devices holding one weight matrix.
 
-    The tile owns a private noise stream identified by (seed, stream_id);
-    update and programming calls use it unless an explicit generator is
-    passed, so a fixed seed and call sequence reproduce the state bit for
-    bit.
+    The tile holds no random generator: every write draws its firing and
+    cycle-to-cycle noise from the generator its caller passes, so the same
+    generators and call sequence reproduce the state bit for bit.
     """
 
-    def __init__(self, gamma_up, gamma_down, b_min, b_max, sigma_c2c, *,
-                 seed: int = 0, stream_id: int = 0, rng=None):
+    def __init__(self, gamma_up, gamma_down, b_min, b_max, sigma_c2c):
         # C order, so the flat row-major views of the pulse kernel share
         # memory with the grids
         arrays = [np.array(a, dtype=np.float64, order="C") for a in
@@ -79,8 +77,6 @@ class AnalogTile:
         self._symmetry = None
         self._scale_x = 0.0
         self._scale_d = 0.0
-        self._rng = rng if rng is not None else np.random.default_rng(
-            [int(seed), int(stream_id)])
         # nominal state range used for weight mapping and tolerance floors
         self.nominal_b_min = float(np.median(self._b_lo))
         self.nominal_b_max = float(np.median(self._b_hi))
@@ -98,26 +94,25 @@ class AnalogTile:
         return self._w.shape
 
     @classmethod
-    def uniform(cls, rows: int, cols: int, params: DeviceParams, *,
-                seed: int = 0, stream_id: int = 0) -> "AnalogTile":
+    def uniform(cls, rows: int, cols: int, params: DeviceParams
+                ) -> "AnalogTile":
         """Tile of identical devices, mainly for idealized experiments."""
         full = lambda v: np.full((rows, cols), v)
         return cls(full(params.gamma_up), full(params.gamma_down),
                    full(params.b_min), full(params.b_max),
-                   full(params.sigma_c2c), seed=seed, stream_id=stream_id)
+                   full(params.sigma_c2c))
 
     @classmethod
     def from_distribution(cls, rows: int, cols: int, dist: DeviceDistribution,
-                          *, seed: int = 0, stream_id: int = 0,
+                          rng: np.random.Generator, *,
                           sigma_c2c: float = DEFAULT_SIGMA_C2C) -> "AnalogTile":
-        """Tile with every device drawn independently from the population."""
-        rng = np.random.default_rng([int(seed), int(stream_id)])
+        """Tile whose devices rng draws independently from the population."""
         n, a = sample_stats_grid(dist, rows * cols, rng)
         gu, gd = gammas_from_stats(n, a)
         shape = (rows, cols)
         return cls(gu.reshape(shape), gd.reshape(shape),
                    np.full(shape, -1.0), np.full(shape, 1.0),
-                   np.full(shape, sigma_c2c), rng=rng)
+                   np.full(shape, sigma_c2c))
 
     # -- reads ------------------------------------------------------------
 
@@ -191,16 +186,15 @@ class AnalogTile:
                                lo[idx], hi[idx])
 
     def apply_pulses(self, up_mask: np.ndarray, down_mask: np.ndarray,
-                     rng=None) -> None:
+                     rng: np.random.Generator) -> None:
         """Pulse the masked devices once, up and down masks disjoint."""
         # ravel().nonzero()[0] is np.flatnonzero without its call overhead,
         # which the many small updates of training would feel
         self._pulse(up_mask.ravel().nonzero()[0],
-                    down_mask.ravel().nonzero()[0],
-                    self._rng if rng is None else rng)
+                    down_mask.ravel().nonzero()[0], rng)
 
     def stochastic_update(self, x: np.ndarray, d: np.ndarray, lr: float,
-                          rng=None) -> UpdateStats:
+                          rng: np.random.Generator) -> UpdateStats:
         """Rank-one pulsed update approximating w -= lr * outer(x, d).
 
         Row i fires with probability min(1, sqrt(lr)|x_i|/s_x) and column j
@@ -236,7 +230,6 @@ class AnalogTile:
         self._scale_d = max(self._scale_d, max_d)
         if lr == 0.0 or self._scale_x == 0.0 or self._scale_d == 0.0:
             return UpdateStats(0, 0, self._scale_x, self._scale_d)
-        rng = self._rng if rng is None else rng
         root = math.sqrt(lr)
         u = rng.random(rows + cols)
         # a uniform draw in [0, 1) is below min(1, p) exactly when below p
@@ -252,8 +245,9 @@ class AnalogTile:
         self._pulse(up, down, rng)
         return UpdateStats(up.size, down.size, self._scale_x, self._scale_d)
 
-    def program_and_verify(self, targets: np.ndarray, epsilon: float = 0.02,
-                           max_iter: int = 200, rng=None) -> "ProgramReport":
+    def program_and_verify(self, targets: np.ndarray, rng: np.random.Generator,
+                           epsilon: float = 0.02, max_iter: int = 200
+                           ) -> "ProgramReport":
         """Iteratively pulse every device toward its target and verify.
 
         A device counts as converged once |w - target| <= max(epsilon *
@@ -291,7 +285,6 @@ class AnalogTile:
                              f"{epsilon}")
         if max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        rng = self._rng if rng is None else rng
         floor = 0.005 * (self.nominal_b_max - self.nominal_b_min)
         tol = np.maximum(epsilon * np.abs(targets), floor)
         attainable = (targets >= self._b_lo) & (targets <= self._b_hi)

@@ -23,6 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .data import derive_rng
+
 DEFAULT_B_MIN = -1.0
 DEFAULT_B_MAX = 1.0
 DEFAULT_SIGMA_C2C = 0.05
@@ -244,8 +246,10 @@ class FitReport:
     restarts: int
 
 
-# Relative MAD gap within which a noisy fit's first two searches count as
-# one basin, so that the other starts are skipped; read at call time
+# A fit stops at the first residual below FIT_F_TOL; a noisy fit also stops
+# once its first two searches agree within FIT_AGREE_RTOL, relative, as one
+# basin. Both are read at call time
+FIT_F_TOL = 1e-6
 FIT_AGREE_RTOL = 1e-6
 
 # Nelder & Mead (1965) with scipy's default coefficients: reflection,
@@ -363,26 +367,25 @@ def _lockstep(searches: list, evaluate) -> list:
 
 
 def fit_softbounds(trace: Trace, scheme: PulseScheme, *, restarts: int = 8,
-                   seed: int = 0, f_tol: float = 1e-6
-                   ) -> tuple[DeviceParams, FitReport]:
+                   seed: int = 0) -> tuple[DeviceParams, FitReport]:
     """Recover soft-bounds parameters from a measured trace.
 
     Runs a Nelder-Mead simplex search (reflection 1, expansion 2,
     contraction 0.5, shrink 0.5) from up to two heuristic starts plus
     restarts - 1 random ones, minimizing the mean absolute deviation between
     the noise-free model response and the trace. A search that stalls above
-    f_tol is run once more from where it stopped. The fit stops at the first
-    residual below f_tol, which noise-free traces normally reach on the
-    first start, so that start runs alone. So does the second: a noisy trace
-    never gets under f_tol, but when the first two residuals agree within
-    FIT_AGREE_RTOL, relative, the better of the two is kept (the first on a
-    tie) and the other starts are skipped, as further starts are unlikely to
-    find a better basin (Boender & Rinnooy Kan 1987). Otherwise the other
-    starts run in lockstep, the points they wait on evaluated through one
-    batched model call per round, and their results are taken in start
-    order: the outcome is the same as running them one after another. The
-    report counts the searches and evaluations up to the one that stopped
-    the fit.
+    FIT_F_TOL is run once more from where it stopped. The fit stops at the
+    first residual below FIT_F_TOL, which noise-free traces normally reach on
+    the first start, so that start runs alone. So does the second: a noisy
+    trace never gets under FIT_F_TOL, but when the first two residuals agree
+    within FIT_AGREE_RTOL, relative, the better of the two is kept (the first
+    on a tie) and the other starts are skipped, as further starts are
+    unlikely to find a better basin (Boender & Rinnooy Kan 1987). Otherwise
+    the other starts run in lockstep, the points they wait on evaluated
+    through one batched model call per round, and their results are taken in
+    start order: the outcome is the same as running them one after another.
+    The report counts the searches and evaluations up to the one that
+    stopped the fit.
     """
     samples = np.asarray(trace.samples, dtype=np.float64)
     expected = scheme.total_pulses() + 1
@@ -422,7 +425,7 @@ def fit_softbounds(trace: Trace, scheme: PulseScheme, *, restarts: int = 8,
                 values[i] = mad
         return values
 
-    rng = np.random.default_rng(seed)
+    rng = derive_rng(seed)
     b_hi0 = hi + 0.05 * span if hi > 0 else 0.05 * span
     b_lo0 = lo - 0.05 * span if lo < 0 else -0.05 * span
     # slope of the first few samples against the estimated headroom
@@ -451,11 +454,11 @@ def fit_softbounds(trace: Trace, scheme: PulseScheme, *, restarts: int = 8,
             hi + span * rng.uniform(0.01, 0.5),
         ]))
 
-    opts = dict(xatol=1e-8, fatol=f_tol, maxiter=4000, maxfev=6000)
+    opts = dict(xatol=1e-8, fatol=FIT_F_TOL, maxiter=4000, maxfev=6000)
 
     def search(x0):
         x, fun, nfev = yield from _nelder_mead(x0, **opts)
-        if f_tol <= fun < big:
+        if FIT_F_TOL <= fun < big:
             # re-expand the simplex where it stalled; a fresh simplex often
             # escapes the narrow valley that collapsed the first one
             x2, fun2, nfev2 = yield from _nelder_mead(x, **opts)
@@ -476,7 +479,7 @@ def fit_softbounds(trace: Trace, scheme: PulseScheme, *, restarts: int = 8,
         funs.append(fun)
         if best is None or fun < best[1]:
             best = x, fun
-        if best[1] < f_tol or (len(funs) == 2 and abs(funs[0] - funs[1])
+        if best[1] < FIT_F_TOL or (len(funs) == 2 and abs(funs[0] - funs[1])
                                <= FIT_AGREE_RTOL * min(funs)):
             break
     (gu, gd, b_lo, b_hi), mad = best

@@ -40,12 +40,13 @@ class GenSpec:
         if self.samples_per_label < 1:
             raise ValueError("samples_per_label must be positive")
         mix = tuple(float(f) for f in self.speed_mix)
-        if len(mix) != 3 or any(f < 0 for f in mix):
-            raise ValueError("speed_mix needs 3 non-negative fractions")
+        if len(mix) != 3 or not all(0 <= f < np.inf for f in mix):
+            raise ValueError("speed_mix needs 3 finite non-negative "
+                             "fractions")
         if abs(sum(mix) - 1.0) > 1e-9:
             raise ValueError("speed_mix fractions must sum to 1")
-        if self.noise_std < 0:
-            raise ValueError("noise_std must be non-negative")
+        if not 0 <= self.noise_std < np.inf:
+            raise ValueError("noise_std must be finite and non-negative")
         object.__setattr__(self, "speed_mix", mix)
 
 

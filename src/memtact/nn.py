@@ -287,7 +287,7 @@ TTV2_OUTPUT_SCALE = 0.8
 
 
 def init_ttv2(spec: NetworkSpec, dist: DeviceDistribution, cfg: TrainConfig,
-              *, sigma_c2c=None) -> TTv2State:
+              *, sigma_c2c: float = DEFAULT_SIGMA_C2C) -> TTv2State:
     """Build tiles for every layer and load small random initial weights.
 
     Each weight tile carries a fixed digital output gain so the bounded
@@ -297,19 +297,14 @@ def init_ttv2(spec: NetworkSpec, dist: DeviceDistribution, cfg: TrainConfig,
     per-device symmetry point, which also serves as the zero reference
     for transfer reads.
     """
-    if sigma_c2c is None:
-        sigma_c2c = DEFAULT_SIGMA_C2C
     init_rng = derive_rng(cfg.seed, 2)
     tiles, a_tiles, hidden, biases, scales = [], [], [], [], []
     dims = spec.layer_dims
     for l in range(spec.n_layers):
         rows, cols = dims[l], dims[l + 1]
-        w_tile = AnalogTile.from_distribution(
-            rows, cols, dist, seed=cfg.seed, stream_id=10 + 2 * l,
-            sigma_c2c=sigma_c2c)
-        a_tile = AnalogTile.from_distribution(
-            rows, cols, dist, seed=cfg.seed, stream_id=11 + 2 * l,
-            sigma_c2c=sigma_c2c)
+        w_tile, a_tile = (AnalogTile.from_distribution(
+            rows, cols, dist, derive_rng(cfg.seed, stream + 2 * l),
+            sigma_c2c=sigma_c2c) for stream in (10, 11))
         gain = math.sqrt(2.0 / rows) if l < spec.n_layers - 1 \
             else math.sqrt(1.0 / rows)
         w_tile.set_weights(init_rng.normal(0.0, gain, size=(rows, cols))
@@ -399,7 +394,8 @@ def ttv2_step(state: TTv2State, x: np.ndarray, y: int, cfg: TrainConfig,
 
 def train_ttv2(spec: NetworkSpec, train: Dataset, dist: DeviceDistribution,
                cfg: TrainConfig, test: Dataset | None = None,
-               *, sigma_c2c=None) -> tuple[AnalogNetwork, TrainHistory]:
+               *, sigma_c2c: float = DEFAULT_SIGMA_C2C
+               ) -> tuple[AnalogNetwork, TrainHistory]:
     """Full two-tile training run; deterministic under cfg.seed."""
     if len(train) == 0:
         raise ValueError("training set is empty")
@@ -421,8 +417,7 @@ def train_ttv2(spec: NetworkSpec, train: Dataset, dist: DeviceDistribution,
 
 
 def program_network(net: Network, dist: DeviceDistribution | None = None, *,
-                    seed: int = 0, epsilon: float = 0.02, max_iter: int = 200,
-                    sigma_c2c=None
+                    seed: int = 0, epsilon: float = 0.02, max_iter: int = 200
                     ) -> tuple[AnalogNetwork, list[ProgramReport]]:
     """Map a digital network onto tiles via program-and-verify.
 
@@ -432,18 +427,15 @@ def program_network(net: Network, dist: DeviceDistribution | None = None, *,
     """
     if dist is None:
         dist = default_distribution()
-    if sigma_c2c is None:
-        sigma_c2c = DEFAULT_SIGMA_C2C
     tiles, scales, offsets, reports = [], [], [], []
     for l, w in enumerate(net.weights):
-        tile = AnalogTile.from_distribution(
-            w.shape[0], w.shape[1], dist, seed=seed, stream_id=20 + l,
-            sigma_c2c=sigma_c2c)
+        # one stream per layer draws the devices, then programs them
+        rng = derive_rng(seed, 20 + l)
+        tile = AnalogTile.from_distribution(w.shape[0], w.shape[1], dist, rng)
         scale, offset = weight_map_affine(w, tile)
         # (0, 0) maps a constant w to +0.0 even if w < 0: -0.0 + 0.0 is +0.0
-        reports.append(tile.program_and_verify(scale * w + offset,
-                                               epsilon=epsilon,
-                                               max_iter=max_iter))
+        reports.append(tile.program_and_verify(
+            scale * w + offset, rng, epsilon=epsilon, max_iter=max_iter))
         if scale == 0.0:
             # constant matrix: drop the map and keep the constant digitally
             scale, offset = 1.0, 0.0

@@ -116,10 +116,11 @@ def test_criterion_2_population_median_states(capsys):
 
 def test_criterion_3_program_and_verify_convergence(capsys):
     t0 = time.monotonic()
+    stream = derive_rng(30, 0)
     tile = AnalogTile.from_distribution(100, 100, default_distribution(),
-                                        seed=30)
+                                        stream)
     targets = derive_rng(31, 0).uniform(-0.9, 0.9, size=(100, 100))
-    rep = tile.program_and_verify(targets, epsilon=0.02, max_iter=200)
+    rep = tile.program_and_verify(targets, stream, epsilon=0.02, max_iter=200)
     elapsed = time.monotonic() - t0
     frac = rep.converged_fraction
     ok = frac >= 0.99 and elapsed < 60.0
@@ -137,7 +138,8 @@ def test_criterion_4_tile_reads_match_dense_oracle(capsys):
     for k in range(100):
         rows = int(rng.integers(1, 13))
         cols = int(rng.integers(1, 13))
-        tile = AnalogTile.from_distribution(rows, cols, dist, seed=100 + k)
+        tile = AnalogTile.from_distribution(rows, cols, dist,
+                                            derive_rng(100 + k, 0))
         tile.set_weights(rng.uniform(-1.0, 1.0, size=(rows, cols)))
         w = tile.read_weights()
         x = rng.standard_normal(rows)
@@ -210,7 +212,9 @@ def _fd_error(net, x, y, array, idx, analytic, h):
 def test_criterion_6_stochastic_update_expectation(capsys):
     params = DeviceParams(gamma_up=1 / 11, gamma_down=1 / 11, sigma_c2c=0.05)
     tile = AnalogTile.uniform(1, 1, params)
-    tile.stochastic_update(np.array([1.0]), np.array([1.0]), 0.0)  # latch scales
+    stream = derive_rng(0, 0)
+    # latch scales
+    tile.stochastic_update(np.array([1.0]), np.array([1.0]), 0.0, stream)
     x = np.array([0.6])
     d = np.array([-0.8])
     lr = 0.25
@@ -219,7 +223,7 @@ def test_criterion_6_stochastic_update_expectation(capsys):
     zero = np.zeros((1, 1))
     for t in range(trials):
         tile.set_weights(zero)
-        tile.stochastic_update(x, d, lr)
+        tile.stochastic_update(x, d, lr, stream)
         dws[t] = tile.read_weights()[0, 0]
     expected = -lr * x[0] * d[0] * (1 / 11)  # step at midpoint, scales 1
     se = dws.std(ddof=1) / np.sqrt(trials)

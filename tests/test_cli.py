@@ -157,6 +157,17 @@ def test_train_ttv2_mode(tmp_path, small_features):
     assert classes == [1, 2, 3, 4, 5]
     assert net.weights[0].shape == (38, 5)
 
+    # a hidden layer pins every stream of two-tile training: each layer's W
+    # and A tiles, the initial weights, the shuffle and the pulse noise
+    model, history = tmp_path / "ttv2_hidden.json", tmp_path / "history.csv"
+    assert run("train", "--features", small_features, "--mode", "ttv2",
+               "--hidden", 4, "--epochs", 2, "--seed", 0, "--model-out", model,
+               "--history-out", history) == 0
+    assert hashlib.sha256(model.read_bytes()).hexdigest() == (
+        "23fbf467b89212d7647521ddf8429c41ac4309008a8822c316a71e4d24bdbb46")
+    assert hashlib.sha256(history.read_bytes()).hexdigest() == (
+        "b945e3c4e21a52babc7f2f1db0f3cf931c4d635ec4b0f23d3b3567bfd704adac")
+
 
 @pytest.mark.parametrize("mode,flag,value", [
     ("fp_sgd", "--lr", "nan"), ("ttv2", "--lr", "inf"),
@@ -306,6 +317,14 @@ def features_text(*rows) -> str:
      "BAD"),
     (["gen-data", "--speed-mix", "1,1,1", "--out", "OUT"], None,
      "speed_mix"),
+    (["gen-data", "--speed-mix", "1/0,0,0", "--out", "OUT"], None,
+     "speed_mix"),
+    (["gen-data", "--speed-mix", "nan,0.5,0.5", "--out", "OUT"], None,
+     "speed_mix"),
+    (["gen-data", "--speed-mix", "1/3,x,1/3", "--out", "OUT"], None,
+     "speed_mix"),
+    (["gen-data", "--noise", "nan", "--out", "OUT"], None, "noise_std"),
+    (["gen-data", "--noise", "inf", "--out", "OUT"], None, "noise_std"),
     (["infer", "--model", "BAD", "--features", "FEATURES"], None, "BAD"),
 ], ids=["infer_empty_object", "infer_list", "program_list",
         "program_dist_list", "simulate_list", "simulate_empty_record",
@@ -320,7 +339,8 @@ def features_text(*rows) -> str:
         "config_list", "config_list_value", "config_null_value",
         "config_infinite_value",
         "config_not_json", "model_not_json",
-        "gen_spec_rejected", "infer_missing_model"])
+        "gen_spec_rejected", "speed_mix_zero_denominator", "speed_mix_nan",
+        "speed_mix_text", "noise_nan", "noise_inf", "infer_missing_model"])
 def test_malformed_json_payload_is_one_line_error(tmp_path, small_features,
                                                   argv, payload, named):
     """Bad input ends the command with one `error:` line and status 1."""

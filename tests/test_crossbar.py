@@ -30,9 +30,9 @@ NOISY = DeviceParams(gamma_up=0.1, gamma_down=0.1, sigma_c2c=0.05)
 
 
 def random_tile(rows, cols, rng, sigma=0.05):
-    tile = AnalogTile.from_distribution(rows, cols, default_distribution(),
-                                        seed=int(rng.integers(1 << 30)),
-                                        sigma_c2c=sigma)
+    tile = AnalogTile.from_distribution(
+        rows, cols, default_distribution(),
+        derive_rng(int(rng.integers(1 << 30)), 0), sigma_c2c=sigma)
     tile.set_weights(rng.uniform(-0.8, 0.8, size=(rows, cols)))
     return tile
 
@@ -126,9 +126,10 @@ def test_midpoint_step_and_symmetry_point():
     tile.set_weights(tile.symmetry_point())
     full = np.ones((2, 3), dtype=bool)
     none = np.zeros((2, 3), dtype=bool)
+    stream = derive_rng(0, 0)
     for _ in range(300):
-        tile.apply_pulses(full, none)
-        tile.apply_pulses(none, full)
+        tile.apply_pulses(full, none, stream)
+        tile.apply_pulses(none, full, stream)
     assert np.allclose(tile.read_weights(), 0.5, atol=0.02)
 
 
@@ -179,13 +180,15 @@ def test_lr_zero_changes_nothing_but_tracks_scales():
     tile.set_weights(np.full((3, 3), 0.2))
     before = tile.read_weights()
     stats = tile.stochastic_update(np.array([4.0, -1.0, 0.5]),
-                                   np.array([0.25, 2.0, -0.5]), 0.0)
+                                   np.array([0.25, 2.0, -0.5]), 0.0,
+                                   derive_rng(0, 0))
     assert np.array_equal(tile.read_weights(), before)
     assert stats.pulses_up == 0 and stats.pulses_down == 0
     # the running maxima must remember inputs seen during the dead call
     assert stats.scale_x == 4.0
     assert stats.scale_d == 2.0
-    stats = tile.stochastic_update(np.ones(3), np.ones(3), 0.0)
+    stats = tile.stochastic_update(np.ones(3), np.ones(3), 0.0,
+                                   derive_rng(0, 0))
     assert stats.scale_x == 4.0 and stats.scale_d == 2.0
 
 
@@ -208,10 +211,12 @@ def test_update_touches_only_coincident_device():
 def test_update_polarity_descends_gradient():
     # deterministic firing: lr=1 makes both factor probabilities 1
     tile = AnalogTile.uniform(1, 1, SYM)
-    tile.stochastic_update(np.array([1.0]), np.array([1.0]), 1.0)
+    tile.stochastic_update(np.array([1.0]), np.array([1.0]), 1.0,
+                           derive_rng(0, 0))
     assert tile.read_weights()[0, 0] < 0  # positive product pushes down
     tile = AnalogTile.uniform(1, 1, SYM)
-    tile.stochastic_update(np.array([1.0]), np.array([-1.0]), 1.0)
+    tile.stochastic_update(np.array([1.0]), np.array([-1.0]), 1.0,
+                           derive_rng(0, 0))
     assert tile.read_weights()[0, 0] > 0
 
 
@@ -236,33 +241,35 @@ def test_update_expectation_monte_carlo():
 
 def test_update_validation():
     tile = AnalogTile.uniform(2, 2, SYM)
+    rng = derive_rng(0, 0)
     with pytest.raises(ValueError):
-        tile.stochastic_update(np.zeros(3), np.zeros(2), 0.1)
+        tile.stochastic_update(np.zeros(3), np.zeros(2), 0.1, rng)
     with pytest.raises(ValueError):
-        tile.stochastic_update(np.zeros(2), np.zeros(2), -0.1)
+        tile.stochastic_update(np.zeros(2), np.zeros(2), -0.1, rng)
     with pytest.raises(ValueError):
-        tile.stochastic_update(np.array([np.inf, 0.0]), np.zeros(2), 0.1)
+        tile.stochastic_update(np.array([np.inf, 0.0]), np.zeros(2), 0.1, rng)
     with pytest.raises(ValueError):
-        tile.stochastic_update(np.array([np.nan, 1.0]), np.ones(2), 0.1)
+        tile.stochastic_update(np.array([np.nan, 1.0]), np.ones(2), 0.1, rng)
     with pytest.raises(ValueError):
-        tile.stochastic_update(np.ones(2), np.array([1.0, np.nan]), 0.1)
+        tile.stochastic_update(np.ones(2), np.array([1.0, np.nan]), 0.1, rng)
     with pytest.raises(ValueError):
-        tile.stochastic_update(np.ones(2), np.array([-np.inf, 1.0]), 0.1)
+        tile.stochastic_update(np.ones(2), np.array([-np.inf, 1.0]), 0.1, rng)
     # rejected calls leave the running scales alone
-    assert tile.stochastic_update(np.zeros(2), np.zeros(2), 0.1) \
+    assert tile.stochastic_update(np.zeros(2), np.zeros(2), 0.1, rng) \
         == UpdateStats(0, 0, 0.0, 0.0)
 
 
 def test_same_stream_reproduces_update_sequence():
     runs = []
     for _ in range(2):
+        stream = derive_rng(11, 3)
         tile = AnalogTile.from_distribution(6, 4, default_distribution(),
-                                            seed=11, stream_id=3)
+                                            stream)
         tile.set_weights(np.full((6, 4), 0.1))
         rng = derive_rng(12, 0)
         for k in range(20):
             tile.stochastic_update(rng.standard_normal(6),
-                                   rng.standard_normal(4), 0.3)
+                                   rng.standard_normal(4), 0.3, stream)
         runs.append(tile.read_weights())
     assert np.array_equal(runs[0], runs[1])
 
@@ -302,7 +309,7 @@ def test_program_already_at_target():
     tile = AnalogTile.uniform(3, 3, NOISY)
     targets = np.full((3, 3), 0.25)
     tile.set_weights(targets)
-    report = tile.program_and_verify(targets)
+    report = tile.program_and_verify(targets, derive_rng(0, 0))
     assert report.converged.all()
     assert report.iterations.max() == 0
     assert np.array_equal(report.achieved, targets)
@@ -310,7 +317,8 @@ def test_program_already_at_target():
 
 def test_program_unattainable_target_flagged():
     tile = AnalogTile.uniform(1, 2, NOISY)
-    report = tile.program_and_verify(np.array([[1.5, 0.2]]), max_iter=50)
+    report = tile.program_and_verify(np.array([[1.5, 0.2]]), derive_rng(0, 0),
+                                     max_iter=50)
     assert not report.attainable[0, 0]
     assert not report.converged[0, 0]
     assert report.iterations[0, 0] == 50
@@ -319,10 +327,12 @@ def test_program_unattainable_target_flagged():
 
 def test_programmed_devices_meet_tolerance():
     rng = derive_rng(6, 0)
+    stream = derive_rng(7, 0)
     tile = AnalogTile.from_distribution(20, 20, default_distribution(),
-                                        seed=7)
+                                        stream)
     targets = rng.uniform(-0.9, 0.9, size=(20, 20))
-    report = tile.program_and_verify(targets, epsilon=0.02, max_iter=200)
+    report = tile.program_and_verify(targets, stream, epsilon=0.02,
+                                     max_iter=200)
     floor = 0.005 * (tile.nominal_b_max - tile.nominal_b_min)
     tol = np.maximum(0.02 * np.abs(targets), floor)
     err = np.abs(report.achieved - targets)
@@ -343,7 +353,8 @@ def test_program_escape_pulse_repeats_polarity_after_third_sign_change():
     for max_iter, expected in ((3, up(down(up(0.0)))),
                                (4, up(up(down(up(0.0)))))):
         tile = AnalogTile.uniform(1, 1, params)
-        report = tile.program_and_verify(target, max_iter=max_iter)
+        report = tile.program_and_verify(target, derive_rng(0, 0),
+                                         max_iter=max_iter)
         assert not report.converged[0, 0]
         assert report.iterations[0, 0] == max_iter
         assert report.achieved[0, 0] == pytest.approx(expected, abs=1e-12)
@@ -353,10 +364,12 @@ def test_program_converges_over_unseen_seeds():
     # seeds disjoint from criterion 3 (tile 30, targets 31)
     fractions = []
     for k in range(6):
+        stream = derive_rng(40 + k, 0)
         tile = AnalogTile.from_distribution(100, 100, default_distribution(),
-                                            seed=40 + k)
+                                            stream)
         targets = derive_rng(1040 + k, 0).uniform(-0.9, 0.9, size=(100, 100))
-        report = tile.program_and_verify(targets, epsilon=0.02, max_iter=200)
+        report = tile.program_and_verify(targets, stream, epsilon=0.02,
+                                         max_iter=200)
         assert report.iterations.max() <= 200
         fractions.append(report.converged_fraction)
     print(f"converged fraction over {len(fractions)} seeds: "
@@ -372,7 +385,7 @@ def test_program_failure_causes_partition_unconverged_devices():
     targets = np.array([[0.1, 1.5]])
     for max_iter, cause in ((3, "out_of_pulses"), (4, "bouncing")):
         report = AnalogTile.uniform(1, 2, params).program_and_verify(
-            targets, max_iter=max_iter)
+            targets, derive_rng(0, 0), max_iter=max_iter)
         masks = report.failure_causes()
         assert masks[cause][0, 0] and masks["unattainable"][0, 1]
         assert sum(m.astype(int) for m in masks.values()).tolist() == [[1, 1]]
@@ -380,10 +393,11 @@ def test_program_failure_causes_partition_unconverged_devices():
         assert counts == {"unattainable": 1, "bouncing": 0,
                           "out_of_pulses": 0, cause: 1}
 
+    stream = derive_rng(3, 0)
     tile = AnalogTile.from_distribution(30, 30, default_distribution(),
-                                        seed=3)
+                                        stream)
     targets = derive_rng(3, 5).uniform(-1.2, 1.2, size=(30, 30))
-    report = tile.program_and_verify(targets, max_iter=40)
+    report = tile.program_and_verify(targets, stream, max_iter=40)
     total = sum(m.astype(int) for m in report.failure_causes().values())
     assert np.array_equal(total, (~report.converged).astype(int))
     assert report.escaped[report.converged].any()  # escapes also converge
@@ -394,16 +408,17 @@ def test_program_failure_causes_partition_unconverged_devices():
 
 def test_program_validation():
     tile = AnalogTile.uniform(2, 2, SYM)
+    rng = derive_rng(0, 0)
     with pytest.raises(ValueError):
-        tile.program_and_verify(np.zeros((3, 2)))
+        tile.program_and_verify(np.zeros((3, 2)), rng)
     with pytest.raises(ValueError):
-        tile.program_and_verify(np.zeros((2, 2)), epsilon=0.0)
+        tile.program_and_verify(np.zeros((2, 2)), rng, epsilon=0.0)
     # a NaN or infinite band would accept every device unpulsed
     for epsilon in (np.nan, np.inf):
         with pytest.raises(ValueError, match="positive and finite"):
-            tile.program_and_verify(np.zeros((2, 2)), epsilon=epsilon)
+            tile.program_and_verify(np.zeros((2, 2)), rng, epsilon=epsilon)
     with pytest.raises(ValueError):
-        tile.program_and_verify(np.zeros((2, 2)), max_iter=0)
+        tile.program_and_verify(np.zeros((2, 2)), rng, max_iter=0)
 
 
 # -- active-set programming against the full-tile reference -----------------
@@ -422,12 +437,11 @@ def reference_apply_pulses(tile, up_mask, down_mask, rng):
                                  tile._b_lo[m], tile._b_hi[m])
 
 
-def reference_program(tile, targets, epsilon=0.02, max_iter=200, rng=None):
+def reference_program(tile, targets, rng, epsilon=0.02, max_iter=200):
     """Full-tile program-and-verify: every iteration masks the whole tile.
 
     Returns (achieved, iterations, converged, escaped).
     """
-    rng = tile._rng if rng is None else rng
     floor = 0.005 * (tile.nominal_b_max - tile.nominal_b_min)
     tol = np.maximum(epsilon * np.abs(targets), floor)
     iterations = np.zeros(tile.shape, dtype=np.int64)
@@ -462,13 +476,12 @@ def programming_cases(draw):
     max_iter = draw(st.sampled_from([1, 2, 5, 17, 200]))
     epsilon = draw(st.sampled_from([0.005, 0.02, 0.1]))
     start = draw(st.sampled_from(["zero", "random", "at_target"]))
-    explicit = draw(st.booleans())
-    return rows, cols, sigma, seed, reach, max_iter, epsilon, start, explicit
+    return rows, cols, sigma, seed, reach, max_iter, epsilon, start
 
 
 def make_programming_case(rows, cols, sigma, seed, reach, start):
     tile = AnalogTile.from_distribution(rows, cols, default_distribution(),
-                                        seed=seed, sigma_c2c=sigma)
+                                        derive_rng(seed, 0), sigma_c2c=sigma)
     rng = derive_rng(seed, 1)
     targets = rng.uniform(-reach, reach, size=(rows, cols))
     if start == "random":
@@ -483,41 +496,37 @@ def make_programming_case(rows, cols, sigma, seed, reach, start):
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(case=programming_cases())
 def test_active_set_program_matches_full_tile_reference(case):
-    rows, cols, sigma, seed, reach, max_iter, epsilon, start, explicit = case
+    rows, cols, sigma, seed, reach, max_iter, epsilon, start = case
     tiles = [make_programming_case(rows, cols, sigma, seed, reach, start)
              for _ in range(2)]
-    rngs = [derive_rng(seed, 2) if explicit else None for _ in range(2)]
+    rngs = [derive_rng(seed, 2) for _ in range(2)]
     (ref_tile, targets), (tile, _) = tiles
     achieved, iterations, converged, escaped = reference_program(
-        ref_tile, targets, epsilon, max_iter, rngs[0])
-    report = tile.program_and_verify(targets, epsilon=epsilon,
-                                     max_iter=max_iter, rng=rngs[1])
+        ref_tile, targets, rngs[0], epsilon, max_iter)
+    report = tile.program_and_verify(targets, rngs[1], epsilon=epsilon,
+                                     max_iter=max_iter)
     assert np.array_equal(report.achieved, achieved)
     assert np.array_equal(report.iterations, iterations)
     assert np.array_equal(report.converged, converged)
     assert np.array_equal(report.escaped, escaped)
     assert np.array_equal(tile.read_weights(), achieved)
-    used = [r if explicit else t._rng for r, t in zip(rngs, (ref_tile, tile))]
-    assert used[0].bit_generator.state == used[1].bit_generator.state
-    if explicit:
-        # the tile's own stream is untouched
-        fresh, _ = make_programming_case(rows, cols, sigma, seed, reach, start)
-        assert tile._rng.bit_generator.state == fresh._rng.bit_generator.state
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
 
 
 def test_apply_pulses_matches_mask_reference():
     rng = derive_rng(12, 0)
     for shape in ((1, 1), (3, 7), (16, 5)):
         tiles = [random_tile(*shape, derive_rng(12, 1)) for _ in range(2)]
+        streams = [derive_rng(12, 2) for _ in range(2)]
         for _ in range(20):
             fire = rng.random(shape) < 0.4
             up = fire & (rng.random(shape) < 0.5)
-            tiles[0].apply_pulses(up, fire ^ up)
-            reference_apply_pulses(tiles[1], up, fire ^ up, tiles[1]._rng)
+            tiles[0].apply_pulses(up, fire ^ up, streams[0])
+            reference_apply_pulses(tiles[1], up, fire ^ up, streams[1])
         assert np.array_equal(tiles[0].read_weights(),
                               tiles[1].read_weights())
-        assert (tiles[0]._rng.bit_generator.state
-                == tiles[1]._rng.bit_generator.state)
+        assert (streams[0].bit_generator.state
+                == streams[1].bit_generator.state)
 
 
 # -- sparse coincidence update against the mask-based reference ------------
@@ -532,7 +541,7 @@ def reference_symmetry_point(tile):
         / (tile._gu + tile._gd)
 
 
-def reference_stochastic_update(tile, x, d, lr, rng=None):
+def reference_stochastic_update(tile, x, d, lr, rng):
     """The coincidence update as the tile once ran it: full-tile masks."""
     x = np.asarray(x, dtype=np.float64)
     d = np.asarray(d, dtype=np.float64)
@@ -546,7 +555,6 @@ def reference_stochastic_update(tile, x, d, lr, rng=None):
     tile._scale_d = max(tile._scale_d, float(np.abs(d).max(initial=0.0)))
     if lr == 0.0 or tile._scale_x == 0.0 or tile._scale_d == 0.0:
         return UpdateStats(0, 0, tile._scale_x, tile._scale_d)
-    rng = tile._rng if rng is None else rng
     root = np.sqrt(lr)
     p = np.minimum(1.0, root * np.abs(x) / tile._scale_x)
     q = np.minimum(1.0, root * np.abs(d) / tile._scale_d)
@@ -582,17 +590,16 @@ def update_cases(draw):
     lrs = st.sampled_from([0.0, 0.002, 0.05, 0.5, 1.0, 4.0])
     calls = draw(st.lists(st.tuples(kinds, kinds, lrs), min_size=1,
                           max_size=10))
-    explicit = draw(st.booleans())
-    return rows, cols, sigma, seed, calls, explicit
+    return rows, cols, sigma, seed, calls
 
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
 @given(case=update_cases())
 def test_sparse_update_matches_mask_reference(case):
-    rows, cols, sigma, seed, calls, explicit = case
+    rows, cols, sigma, seed, calls = case
     tiles = [random_tile(rows, cols, derive_rng(seed, 0), sigma)
              for _ in range(2)]
-    rngs = [derive_rng(seed, 2) if explicit else None for _ in range(2)]
+    rngs = [derive_rng(seed, 2) for _ in range(2)]
     vectors = derive_rng(seed, 1)
     for kind_x, kind_d, lr in calls:
         x = update_vector(kind_x, rows, vectors)
@@ -603,13 +610,7 @@ def test_sparse_update_matches_mask_reference(case):
         assert type(got.pulses_up) is int and type(got.pulses_down) is int
         assert np.array_equal(tiles[1].read_weights(),
                               tiles[0].read_weights())
-    used = [r if explicit else t._rng for r, t in zip(rngs, tiles)]
-    assert used[0].bit_generator.state == used[1].bit_generator.state
-    if explicit:
-        # the tile's own stream is untouched
-        fresh = random_tile(rows, cols, derive_rng(seed, 0), sigma)
-        assert tiles[1]._rng.bit_generator.state \
-            == fresh._rng.bit_generator.state
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
 
 
 def test_program_on_fortran_ordered_inputs_matches_c_order():
@@ -619,16 +620,16 @@ def test_program_on_fortran_ordered_inputs_matches_c_order():
     gu, gd = (np.asfortranarray(rng.uniform(0.02, 0.2, (6, 4)))
               for _ in range(2))
     bounds = np.full((6, 4), 1.0)
-    tiles = [AnalogTile(gu, gd, -bounds, bounds, np.full((6, 4), 0.05),
-                        seed=4),
+    tiles = [AnalogTile(gu, gd, -bounds, bounds, np.full((6, 4), 0.05)),
              AnalogTile(np.ascontiguousarray(gu), np.ascontiguousarray(gd),
-                        -bounds, bounds, np.full((6, 4), 0.05), seed=4)]
+                        -bounds, bounds, np.full((6, 4), 0.05))]
     start = rng.uniform(-0.5, 0.5, (4, 6)).T
     targets = rng.uniform(-0.8, 0.8, (6, 4))
     reports = []
     for tile, w in zip(tiles, (start, np.ascontiguousarray(start))):
         tile.set_weights(w)
-        reports.append(tile.program_and_verify(np.asfortranarray(targets)))
+        reports.append(tile.program_and_verify(np.asfortranarray(targets),
+                                               derive_rng(4, 0)))
         assert np.array_equal(tile.read_weights(), reports[-1].achieved)
     assert reports[0].mean_iterations > 0
     assert np.array_equal(reports[0].achieved, reports[1].achieved)
@@ -639,9 +640,10 @@ def test_program_on_fortran_ordered_inputs_matches_c_order():
 
 
 def test_program_report_csv_roundtrip(tmp_path):
-    tile = AnalogTile.from_distribution(3, 2, default_distribution(), seed=9)
+    stream = derive_rng(9, 0)
+    tile = AnalogTile.from_distribution(3, 2, default_distribution(), stream)
     targets = derive_rng(9, 0).uniform(-0.8, 0.8, size=(3, 2))
-    report = tile.program_and_verify(targets)
+    report = tile.program_and_verify(targets, stream)
     path = tmp_path / "report.csv"
     write_program_report_csv([report], path, header_lines=["run=unit-test"])
     with open(path) as fh:

@@ -123,6 +123,13 @@ def test_gen_spec_validation():
         GenSpec(speed_mix=(0.6, 0.3, 0.3))
     with pytest.raises(ValueError):
         GenSpec(noise_std=-0.01)
+    # NaN passes every comparison, so each non-finite value needs its check
+    for mix in ((np.nan, 0.5, 0.5), (0.5, 0.5, np.nan), (np.inf, 0.0, 0.0)):
+        with pytest.raises(ValueError, match="speed_mix"):
+            GenSpec(speed_mix=mix)
+    for noise in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="noise_std"):
+            GenSpec(noise_std=noise)
 
 
 def test_dataset_counts_and_manifest():

@@ -551,8 +551,6 @@ def test_ttv2_step_matches_reference_loop(case):
         for got, want in ((state.net.tiles[l], ref.net.tiles[l]),
                           (state.a_tiles[l], ref.a_tiles[l])):
             assert np.array_equal(got.read_weights(), want.read_weights())
-            assert got._rng.bit_generator.state \
-                == want._rng.bit_generator.state
         assert np.array_equal(state.hidden[l], ref.hidden[l])
         assert np.array_equal(state.net.biases[l], ref.net.biases[l])
     assert state.cursors == ref.cursors
