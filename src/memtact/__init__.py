@@ -50,7 +50,6 @@ from .tactile import (
     centroid_trajectory,
     contact_area,
     extract_features,
-    merge_labels_10_to_5,
     peak_count,
     preprocess,
 )

@@ -119,11 +119,11 @@ def cmd_simulate_trace(args) -> int:
     cfg = _resolve(args, defaults)
     params = device.read_device_params(args.params)
     if isinstance(params, list):
-        try:
-            params = params[int(cfg["index"])]
-        except IndexError:
-            raise ValueError(f"params index {cfg['index']} out of range") \
-                from None
+        index = int(cfg["index"])
+        if not 0 <= index < len(params):
+            raise ValueError(f"params index {index} out of range for "
+                             f"{len(params)} records")
+        params = params[index]
     scheme = _parse_scheme(str(cfg["scheme"]))
     trace = device.simulate_trace(params, scheme, float(cfg["w0"]),
                                   derive_rng(int(cfg["seed"]), 0))
@@ -182,14 +182,14 @@ def cmd_train(args) -> int:
     defaults = dict(mode="fp_sgd", hidden=0, lr=None, fast_lr=0.5,
                     transfer_every=5, epochs=100, seed=0, test_fraction=0.25)
     cfg = _resolve(args, defaults)
+    hidden = int(cfg["hidden"])
+    if hidden < 0:
+        raise ValueError(f"hidden must be non-negative, got {hidden}")
     x, y = tactile.read_features_csv(args.features)
     train, test, scaler, classes = _split_features(
         x, y, float(cfg["test_fraction"]), int(cfg["seed"]))
-    dims = [x.shape[1]]
-    if int(cfg["hidden"]) > 0:
-        dims.append(int(cfg["hidden"]))
-    dims.append(len(classes))
-    spec = nn.NetworkSpec(tuple(dims))
+    spec = nn.NetworkSpec((x.shape[1], *([hidden] if hidden else []),
+                           len(classes)))
     mode = str(cfg["mode"])
     if cfg["lr"] is None:
         cfg["lr"] = 0.05 if mode == "fp_sgd" else 0.1

@@ -14,6 +14,8 @@ def derive_rng(seed: int, *stream: int) -> np.random.Generator:
     so independent consumers (tiles, shuffling, noise injection) never share
     draws.
     """
+    if int(seed) < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     return np.random.default_rng([int(seed), *(int(s) for s in stream)])
 
 

@@ -181,21 +181,11 @@ def _noise_free_samples(gu, gd, b_lo, b_hi, scheme: PulseScheme, w0,
 
     Constant-polarity runs follow a geometric approach to the bound. For the
     alternating run, one up-down pair is the affine map w -> r*w + c with
-    r = (1-gu)(1-gd), which is iterated in closed form as well. Scalar
-    parameters give one trace of total_pulses() + 1 floats; arrays of m
-    parameters (w0 may stay scalar) give an (m, total_pulses() + 1) array
-    whose every row equals the scalar call bit for bit. The result is
-    written into `out` when given.
+    r = (1-gu)(1-gd), which is iterated in closed form as well. The
+    total_pulses() + 1 samples are written into `out` when given.
     """
     if out is None:
-        out = np.empty(np.shape(gu)[:1] + (scheme.total_pulses() + 1,))
-    last = -1  # a trace's last state, a scalar in the one-trace case
-    if np.ndim(gu):
-        # one column per parameter, so that each row pulses on its own
-        gu, gd, b_lo, b_hi = (np.asarray(v)[:, None]
-                              for v in (gu, gd, b_lo, b_hi))
-        w0 = np.asarray(w0)[..., None]
-        last = np.s_[:, -1:]
+        out = np.empty(scheme.total_pulses() + 1)
     au, ad = 1.0 - gu, 1.0 - gd
     cu, cd = gu * b_hi, gd * b_lo
     # what does not depend on a run's starting state is the same in every
@@ -213,26 +203,26 @@ def _noise_free_samples(gu, gd, b_lo, b_hi, scheme: PulseScheme, w0,
         drift = np.subtract(1.0, rn)
         drift *= c
         drift /= one_minus_r
-    out[..., :1] = w = w0
+    out[0] = w = w0
     i = 1
     for _ in range(scheme.batches):
         for k, power, bound in runs:
-            seg = out[..., i:i + k]
+            seg = out[i:i + k]
             np.multiply(power, bound - w, out=seg)
             np.subtract(bound, seg, out=seg)
-            w = seg[last]
+            w = seg[-1]
             i += k
         if scheme.alternating_per_batch:
             wn = rn * w
             wn += drift
-            up = out[..., i:i + 2 * pairs:2]
-            np.multiply(au, wn[..., :pairs], out=up)
+            up = out[i:i + 2 * pairs:2]
+            np.multiply(au, wn[:pairs], out=up)
             up += cu
-            out[..., i + 1:i + 2 * pairs:2] = wn[..., 1:]
-            w = wn[last]
+            out[i + 1:i + 2 * pairs:2] = wn[1:]
+            w = wn[-1]
             i += 2 * pairs
             if rem:
-                out[..., i:i + 1] = w = au * w + cu
+                out[i] = w = au * w + cu
                 i += 1
     return out
 
@@ -267,18 +257,16 @@ def _by_value(sim: list, fsim: list) -> tuple[list, list]:
     return [sim[i] for i in ind], [fsim[i] for i in ind]
 
 
-def _nelder_mead(x0, *, xatol: float, fatol: float, maxiter: int,
+def _nelder_mead(fun, x0, *, xatol: float, fatol: float, maxiter: int,
                  maxfev: int):
-    """Downhill simplex search, written as a generator.
+    """Downhill simplex search minimizing fun; returns (x, fun, nfev).
 
-    It yields each point to evaluate as a list, takes the point's value
-    through send() and returns (x, fun, nfev). Every step, the tie order of
-    np.argsort and the maxfev cut-off that abandons an iteration midway
-    follow scipy.optimize.minimize(method="Nelder-Mead") of scipy 1.17, so
-    that both give the same x, fun and nfev. Vertices are lists of floats,
-    whose arithmetic rounds as numpy's does, in scipy's order of
-    operations. The caller owns the objective, so several searches can
-    share one batched model call.
+    Every step, the tie order of np.argsort and the maxfev cut-off that
+    abandons an iteration midway follow
+    scipy.optimize.minimize(method="Nelder-Mead") of scipy 1.17, so that
+    both give the same x, fun and nfev. Vertices are lists of floats, whose
+    arithmetic rounds as numpy's does, in scipy's order of operations; fun
+    takes one such list.
     """
     x0 = [float(v) for v in x0]
     n = len(x0)
@@ -292,11 +280,11 @@ def _nelder_mead(x0, *, xatol: float, fatol: float, maxiter: int,
         if nfev >= maxfev:
             raise _OutOfEvaluations
         nfev += 1
-        return (yield x)
+        return fun(x)
 
     try:
         for k in range(n + 1):
-            fsim[k] = yield from f(sim[k])
+            fsim[k] = f(sim[k])
     except _OutOfEvaluations:
         pass
     # scipy sorts twice here, which can reorder ties
@@ -314,11 +302,11 @@ def _nelder_mead(x0, *, xatol: float, fatol: float, maxiter: int,
             xbar = [a / n for a in xbar]
             worst = sim[-1]
             xr = [(1 + _RHO) * a - _RHO * b for a, b in zip(xbar, worst)]
-            fxr = yield from f(xr)
+            fxr = f(xr)
             if fxr < fsim[0]:
                 xe = [(1 + _RHO * _CHI) * a - _RHO * _CHI * b
                       for a, b in zip(xbar, worst)]
-                fxe = yield from f(xe)
+                fxe = f(xe)
                 sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
             elif fxr < fsim[-2]:
                 sim[-1], fsim[-1] = xr, fxr
@@ -326,12 +314,12 @@ def _nelder_mead(x0, *, xatol: float, fatol: float, maxiter: int,
                 if fxr < fsim[-1]:
                     xc = [(1 + _PSI * _RHO) * a - _PSI * _RHO * b
                           for a, b in zip(xbar, worst)]
-                    fxc = yield from f(xc)
+                    fxc = f(xc)
                     accept = fxc <= fxr
                 else:
                     xc = [(1 - _PSI) * a + _PSI * b
                           for a, b in zip(xbar, worst)]
-                    fxc = yield from f(xc)
+                    fxc = f(xc)
                     accept = fxc < fsim[-1]
                 if accept:
                     sim[-1], fsim[-1] = xc, fxc
@@ -339,31 +327,12 @@ def _nelder_mead(x0, *, xatol: float, fatol: float, maxiter: int,
                     for j in range(1, n + 1):
                         sim[j] = [a + _SIGMA * (b - a)
                                   for a, b in zip(sim[0], sim[j])]
-                        fsim[j] = yield from f(sim[j])
+                        fsim[j] = f(sim[j])
             iterations += 1
         except _OutOfEvaluations:
             pass
         sim, fsim = _by_value(sim, fsim)
     return np.array(sim[0]), np.min(fsim), nfev
-
-
-def _lockstep(searches: list, evaluate) -> list:
-    """Run generator searches side by side and return their results in order.
-
-    Each round hands the points that the unfinished searches wait on to one
-    evaluate() call, as a list.
-    """
-    results = [None] * len(searches)
-    pending = {i: next(s) for i, s in enumerate(searches)}
-    while pending:
-        values = evaluate(list(pending.values()))
-        for i, value in zip(list(pending), values):
-            try:
-                pending[i] = searches[i].send(value)
-            except StopIteration as stop:
-                del pending[i]
-                results[i] = stop.value
-    return results
 
 
 def fit_softbounds(trace: Trace, scheme: PulseScheme, *, restarts: int = 8,
@@ -381,12 +350,11 @@ def fit_softbounds(trace: Trace, scheme: PulseScheme, *, restarts: int = 8,
     within FIT_AGREE_RTOL, relative, the better of the two is kept (the first
     on a tie) and the other starts are skipped, as further starts are
     unlikely to find a better basin (Boender & Rinnooy Kan 1987). Otherwise
-    the other starts run in lockstep, the points they wait on evaluated
-    through one batched model call per round, and their results are taken in
-    start order: the outcome is the same as running them one after another.
-    The report counts the searches and evaluations up to the one that
-    stopped the fit.
+    the other starts run one after another. The report counts the searches
+    and evaluations up to the one that stopped the fit.
     """
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
     samples = np.asarray(trace.samples, dtype=np.float64)
     expected = scheme.total_pulses() + 1
     if samples.size != expected:
@@ -407,23 +375,14 @@ def fit_softbounds(trace: Trace, scheme: PulseScheme, *, restarts: int = 8,
                 # keep at least two resolvable states
                 and not (b_hi - b_lo) < (gu * b_hi - gd * b_lo))
 
-    def evaluate(points):
-        """Mean absolute deviation at each point; big off the domain."""
-        values = [big] * len(points)
-        ok = [i for i, p in enumerate(points) if in_domain(*p)]
-        if len(ok) == 1:
-            _noise_free_samples(*points[ok[0]], scheme, w0, out=buf)
-            np.subtract(buf, samples, out=buf)
-            np.abs(buf, out=buf)
-            values[ok[0]] = float(buf.sum() / buf.size)
-        elif ok:
-            model = _noise_free_samples(*np.array([points[i] for i in ok]).T,
-                                        scheme, w0)
-            np.subtract(model, samples, out=model)
-            np.abs(model, out=model)
-            for i, mad in zip(ok, (model.sum(axis=1) / samples.size).tolist()):
-                values[i] = mad
-        return values
+    def mad(p):
+        """Mean absolute deviation at point p; big off the domain."""
+        if not in_domain(*p):
+            return big
+        _noise_free_samples(*p, scheme, w0, out=buf)
+        np.subtract(buf, samples, out=buf)
+        np.abs(buf, out=buf)
+        return float(buf.sum() / buf.size)
 
     rng = derive_rng(seed)
     b_hi0 = hi + 0.05 * span if hi > 0 else 0.05 * span
@@ -446,7 +405,7 @@ def fit_softbounds(trace: Trace, scheme: PulseScheme, *, restarts: int = 8,
                                 / max(p_hi - p_lo, 1e-3), 1e-3, 0.5))
             starts.append(np.array([gsu, gsd, p_lo, p_hi]))
     starts.append(np.array([g0, g0, b_lo0, b_hi0]))
-    for _ in range(max(restarts - 1, 0)):
+    for _ in range(restarts - 1):
         starts.append(np.array([
             10.0 ** rng.uniform(-3.0, -0.4),
             10.0 ** rng.uniform(-3.0, -0.4),
@@ -456,25 +415,18 @@ def fit_softbounds(trace: Trace, scheme: PulseScheme, *, restarts: int = 8,
 
     opts = dict(xatol=1e-8, fatol=FIT_F_TOL, maxiter=4000, maxfev=6000)
 
-    def search(x0):
-        x, fun, nfev = yield from _nelder_mead(x0, **opts)
-        if FIT_F_TOL <= fun < big:
-            # re-expand the simplex where it stalled; a fresh simplex often
-            # escapes the narrow valley that collapsed the first one
-            x2, fun2, nfev2 = yield from _nelder_mead(x, **opts)
-            nfev += nfev2
-            if fun2 < fun:
-                x, fun = x2, fun2
-        return x, fun, nfev
-
-    def outcomes():
-        for group in (starts[:1], starts[1:2], starts[2:]):
-            yield from _lockstep([search(x0) for x0 in group], evaluate)
-
     best = None
     evals = 0
     funs = []
-    for x, fun, nfev in outcomes():
+    for x0 in starts:
+        x, fun, nfev = _nelder_mead(mad, x0, **opts)
+        if FIT_F_TOL <= fun < big:
+            # re-expand the simplex where it stalled; a fresh simplex often
+            # escapes the narrow valley that collapsed the first one
+            x2, fun2, nfev2 = _nelder_mead(mad, x, **opts)
+            nfev += nfev2
+            if fun2 < fun:
+                x, fun = x2, fun2
         evals += nfev
         funs.append(fun)
         if best is None or fun < best[1]:
@@ -482,10 +434,10 @@ def fit_softbounds(trace: Trace, scheme: PulseScheme, *, restarts: int = 8,
         if best[1] < FIT_F_TOL or (len(funs) == 2 and abs(funs[0] - funs[1])
                                <= FIT_AGREE_RTOL * min(funs)):
             break
-    (gu, gd, b_lo, b_hi), mad = best
+    (gu, gd, b_lo, b_hi), fun = best
     params = DeviceParams(gamma_up=float(gu), gamma_down=float(gd),
                           b_min=float(b_lo), b_max=float(b_hi), sigma_c2c=0.0)
-    return params, FitReport(mad=float(mad), evaluations=evals,
+    return params, FitReport(mad=float(fun), evaluations=evals,
                              restarts=len(funs))
 
 
@@ -529,16 +481,14 @@ def default_distribution() -> DeviceDistribution:
                             DEFAULT_ASYMMETRY_STD ** 2]))
 
 
-def build_distribution(population, *, clamp_n_min: float = 2.0
-                       ) -> DeviceDistribution:
+def build_distribution(population) -> DeviceDistribution:
     """Estimate the (n_states, asymmetry) Gaussian from fitted devices."""
     population = list(population)
     if len(population) < 2:
         raise ValueError("need at least 2 devices to estimate a distribution")
     pts = np.array([[n_states(p), asymmetry(p)] for p in population])
     cov = np.cov(pts, rowvar=False, ddof=1)
-    return DeviceDistribution(mean=pts.mean(axis=0), covariance=cov,
-                              clamp_n_min=clamp_n_min)
+    return DeviceDistribution(mean=pts.mean(axis=0), covariance=cov)
 
 
 def gammas_from_stats(n, a, b_min=DEFAULT_B_MIN, b_max=DEFAULT_B_MAX):

@@ -70,13 +70,6 @@ class GestureSeries:
         return int(self.frames.shape[0])
 
 
-def merge_labels_10_to_5(label: int) -> int:
-    """Collapse the 10 raw gesture classes onto 5 coarse categories."""
-    if not 1 <= int(label) <= 10:
-        raise ValueError(f"label {label} outside 1..10")
-    return (int(label) + 1) // 2
-
-
 def _canonical_sum(values) -> np.ndarray:
     """Sum along the last axis in ascending order of value.
 

@@ -13,7 +13,7 @@ import pytest
 import memtact
 from memtact import device, nn, tactile
 from memtact.cli import main
-from memtact.data import FeatureScaler
+from memtact.data import FeatureScaler, derive_rng
 
 
 def run(*argv) -> int:
@@ -363,6 +363,48 @@ def test_malformed_json_payload_is_one_line_error(tmp_path, small_features,
     assert len(done.stderr.splitlines()) == 1
     assert done.stderr.startswith("error:")
     assert str(paths.get(named, named)) in done.stderr
+
+
+NEGATIVE_SEED = "seed must be non-negative, got -1"
+FIT = ["fit-device", "--traces", "TRACE", "--scheme", "1,20,20,40",
+       "--out", "OUT"]
+SIMULATE = ["simulate-trace", "--params", "PARAMS", "--out", "OUT"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gen-data", "--seed", -1, "--out", "OUT"], NEGATIVE_SEED),
+    ([*TRAIN, "--seed", -1], NEGATIVE_SEED),
+    (["program", "--model", "MODEL", "--seed", -1, "--out", "OUT"],
+     NEGATIVE_SEED),
+    ([*SIMULATE, "--seed", -1], NEGATIVE_SEED),
+    ([*FIT, "--seed", -1], f"TRACE: {NEGATIVE_SEED}"),
+    ([*TRAIN, "--hidden", -3], "hidden must be non-negative, got -3"),
+    ([*SIMULATE, "--index", -1], "params index -1 out of range for 2 records"),
+    ([*FIT, "--restarts", 0], "TRACE: restarts must be at least 1, got 0"),
+    ([*FIT, "--restarts", -5], "TRACE: restarts must be at least 1, got -5"),
+], ids=["gen_data_seed", "train_seed", "program_seed", "simulate_seed",
+        "fit_seed", "train_hidden", "simulate_index", "fit_restarts_zero",
+        "fit_restarts_negative"])
+def test_out_of_range_integer_setting_is_named(tmp_path, small_features,
+                                               argv, message):
+    """A seed, count or index out of range ends the command with one
+    `error:` line that names the setting and its value, and writes
+    nothing."""
+    p = device.DeviceParams(gamma_up=0.09, gamma_down=0.07, sigma_c2c=0.02)
+    paths = {"FEATURES": small_features, "MODEL": tmp_path / "model.json",
+             "PARAMS": tmp_path / "params.json", "TRACE": tmp_path / "t.csv",
+             "OUT": tmp_path / "out"}
+    nn.save_model(nn.Network(nn.NetworkSpec((3, 2)), seed=0), paths["MODEL"],
+                  classes=[0, 1])
+    device.write_device_params([p, p], paths["PARAMS"])
+    device.write_trace_csv(device.simulate_trace(
+        p, device.PulseScheme(1, 20, 20, 40), 0.0, derive_rng(1, 0)),
+        paths["TRACE"])
+    with pytest.raises(SystemExit) as exc:
+        run(*(paths.get(a, a) for a in argv))
+    assert str(exc.value) == "error: " + message.replace(
+        "TRACE", str(paths["TRACE"]))
+    assert not paths["OUT"].exists()
 
 
 def test_infer_rejects_features_of_another_width(tmp_path, small_features):

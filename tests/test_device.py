@@ -195,31 +195,6 @@ def test_closed_form_trace_into_buffer_matches_fresh_and_oracle(
     np.testing.assert_allclose(fresh, oracle, rtol=0, atol=1e-9)
 
 
-@settings(max_examples=80, deadline=None, derandomize=True, database=None)
-@given(rows=st.lists(st.tuples(st.floats(1e-5, 0.999), st.floats(1e-5, 0.999),
-                               st.floats(-2.0, -1e-9), st.floats(1e-9, 2.0),
-                               st.floats(0.0, 1.0)),
-                     min_size=1, max_size=6),
-       shared_w0=st.booleans(),
-       layout=st.tuples(st.integers(0, 3), st.integers(0, 9),
-                        st.integers(0, 9), st.integers(0, 25)))
-def test_batched_model_rows_equal_one_row_calls(rows, shared_w0, layout):
-    """Every row of a batched model call is the one-row call, bit for bit."""
-    scheme = PulseScheme(*layout)
-    gu, gd, b_lo, b_hi, start = (np.array(v) for v in zip(*rows))
-    w0 = b_lo + start * (b_hi - b_lo)
-    if shared_w0:
-        w0 = float(w0[0])
-    batch = _noise_free_samples(gu, gd, b_lo, b_hi, scheme, w0)
-    assert batch.shape == (len(rows), scheme.total_pulses() + 1)
-    for j in range(len(rows)):
-        one = _noise_free_samples(float(gu[j]), float(gd[j]), float(b_lo[j]),
-                                  float(b_hi[j]), scheme,
-                                  w0 if shared_w0 else float(w0[j]))
-        assert one.shape == (scheme.total_pulses() + 1,)
-        assert np.array_equal(batch[j], one)
-
-
 def test_simulate_rejects_out_of_bounds_start():
     with pytest.raises(ValueError):
         simulate_trace(make_params(), PulseScheme(), 1.5, derive_rng(0, 0))
@@ -242,16 +217,6 @@ def test_simulation_is_deterministic():
 
 
 # -- fitting ----------------------------------------------------------------
-
-
-def run_search(search, fun):
-    """Drive a generator search with a plain objective."""
-    try:
-        x = next(search)
-        while True:
-            x = search.send(fun(np.array(x)))
-    except StopIteration as stop:
-        return stop.value
 
 
 def rosenbrock(x):
@@ -290,7 +255,8 @@ def test_nelder_mead_matches_scipy(fun, x0, opts):
     optimize = pytest.importorskip("scipy.optimize")
     want = optimize.minimize(fun, np.array(x0), method="Nelder-Mead",
                              options=opts)
-    x, f, nfev = run_search(_nelder_mead(np.array(x0), **opts), fun)
+    x, f, nfev = _nelder_mead(lambda x: fun(np.array(x)), np.array(x0),
+                              **opts)
     assert np.array_equal(x, want.x)
     assert f == want.fun
     assert nfev == want.nfev

@@ -20,7 +20,6 @@ from memtact.tactile import (
     centroid_trajectory,
     contact_area,
     extract_features,
-    merge_labels_10_to_5,
     peak_count,
     preprocess,
     read_features_csv,
@@ -352,15 +351,6 @@ def test_amplitude_scaling_covariance():
 
 
 # -- labels and validation -----------------------------------------------------
-
-
-def test_merge_labels_pairs_consecutive_classes():
-    assert [merge_labels_10_to_5(k) for k in range(1, 11)] == \
-        [1, 1, 2, 2, 3, 3, 4, 4, 5, 5]
-    with pytest.raises(ValueError):
-        merge_labels_10_to_5(11)
-    with pytest.raises(ValueError):
-        merge_labels_10_to_5(0)
 
 
 def test_gesture_series_validation():
