@@ -88,29 +88,31 @@ def cmd_gen_data(args) -> int:
         samples_per_label=int(cfg["per_label"]), label_set=int(cfg["labels"]),
         speed_mix=tuple(mix), noise_std=float(cfg["noise"]),
         seed=int(cfg["seed"]))
-    gestures, manifest = gesturegen.generate_dataset(spec)
+    manifest = gesturegen.dataset_manifest(spec)
     manifest["config_hash"] = _config_hash(cfg)
-    tactile.write_gestures_jsonl(gestures, args.out)
+    # each gesture is written as it is rendered, so memory stays flat
+    tactile.write_gestures_jsonl(gesturegen.iter_dataset(spec), args.out)
     manifest_path = str(args.out) + ".manifest.json"
     Path(manifest_path).write_text(json.dumps(manifest, indent=2) + "\n")
-    log.info("wrote %d gestures to %s (manifest %s)", len(gestures), args.out,
-             manifest_path)
+    log.info("wrote %d gestures to %s (manifest %s)", manifest["total"],
+             args.out, manifest_path)
     return 0
 
 
 def cmd_extract(args) -> int:
     defaults = dict(window=3)
     cfg = _resolve(args, defaults)
-    gestures = tactile.read_gestures_jsonl(args.data)
-    feats = np.empty((len(gestures), tactile.FEATURE_LENGTH))
-    labels = np.empty(len(gestures), dtype=np.int64)
-    for i, g in enumerate(gestures):
-        feats[i] = tactile.extract_features(
-            tactile.preprocess(g, window=int(cfg["window"])))
-        labels[i] = g.label
-    tactile.write_features_csv(feats, labels, args.out,
+    window = int(cfg["window"])
+    feats, labels = [], []
+    # one record at a time, keeping only its feature row; the CSV is written
+    # after the last record parses, so a bad record leaves no output
+    for g in tactile.read_gestures_jsonl(args.data):
+        feats.append(tactile.extract_features(
+            tactile.preprocess(g, window=window)))
+        labels.append(g.label)
+    tactile.write_features_csv(np.array(feats), labels, args.out,
                                header_lines=[f"config_hash={_config_hash(cfg)}"])
-    log.info("wrote %d feature rows to %s", len(gestures), args.out)
+    log.info("wrote %d feature rows to %s", len(labels), args.out)
     return 0
 
 
@@ -118,12 +120,13 @@ def cmd_simulate_trace(args) -> int:
     defaults = dict(scheme="10,200,200,1000", w0=0.0, seed=0, index=0)
     cfg = _resolve(args, defaults)
     params = device.read_device_params(args.params)
-    if isinstance(params, list):
-        index = int(cfg["index"])
-        if not 0 <= index < len(params):
-            raise ValueError(f"params index {index} out of range for "
-                             f"{len(params)} records")
-        params = params[index]
+    records = params if isinstance(params, list) else [params]
+    index = int(cfg["index"])
+    if not 0 <= index < len(records):
+        raise ValueError(f"params index {index} out of range for "
+                         f"{len(records)} record"
+                         f"{'s' if len(records) != 1 else ''}")
+    params = records[index]
     scheme = _parse_scheme(str(cfg["scheme"]))
     trace = device.simulate_trace(params, scheme, float(cfg["w0"]),
                                   derive_rng(int(cfg["seed"]), 0))

@@ -224,8 +224,10 @@ class AnalogTile:
         # exactly when every entry is
         if not (max_x < math.inf and max_d < math.inf):
             raise ValueError("update vectors must be finite")
-        if lr < 0:
-            raise ValueError("lr must be non-negative")
+        # a NaN lr fails every comparison, so it would fire nothing yet
+        # still raise the running scales
+        if not 0 <= lr < math.inf:
+            raise ValueError(f"lr must be finite and non-negative, got {lr}")
         self._scale_x = max(self._scale_x, max_x)
         self._scale_d = max(self._scale_d, max_d)
         if lr == 0.0 or self._scale_x == 0.0 or self._scale_d == 0.0:

@@ -9,6 +9,7 @@ the frame count band. Everything is reproducible from (seed, gesture index).
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -47,6 +48,10 @@ class GenSpec:
             raise ValueError("speed_mix fractions must sum to 1")
         if not 0 <= self.noise_std < np.inf:
             raise ValueError("noise_std must be finite and non-negative")
+        # checked here, not at the first gesture's derive_rng, so that a
+        # streaming writer rejects the recipe before it opens its file
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         object.__setattr__(self, "speed_mix", mix)
 
 
@@ -197,32 +202,43 @@ def _speed_allocation(count: int, mix) -> list[str]:
     return [speed for speed, k in zip(SPEEDS, base) for _ in range(k)]
 
 
-def generate_dataset(spec: GenSpec) -> tuple[list[GestureSeries], dict]:
-    """Render the full dataset for a recipe, plus its manifest.
+def _jobs(spec: GenSpec) -> list[tuple[int, int, str]]:
+    """(template, label, speed) per gesture id; of 5 classes, class c
+    takes templates 2c - 1 and 2c in turn."""
+    group = 10 // spec.label_set
+    speeds = _speed_allocation(spec.samples_per_label, spec.speed_mix)
+    return [(group * (label - 1) + 1 + k % group, label, s)
+            for label in range(1, spec.label_set + 1)
+            for k, s in enumerate(speeds)]
+
+
+def iter_dataset(spec: GenSpec) -> Iterator[GestureSeries]:
+    """Render the recipe's gestures one at a time, in id order.
 
     For the 5-class set each coarse class draws evenly from its two source
     templates. Every gesture gets its own rng stream derived from
     (seed, gesture index), so generation order never matters.
     """
-    # (template, label, speed): of 5 classes, c takes 2c - 1 and 2c in turn
-    group = 10 // spec.label_set
-    speeds = _speed_allocation(spec.samples_per_label, spec.speed_mix)
-    jobs = [(group * (label - 1) + 1 + k % group, label, s)
-            for label in range(1, spec.label_set + 1)
-            for k, s in enumerate(speeds)]
-    gestures = []
-    for gid, (template, final_label, speed) in enumerate(jobs):
+    for gid, (template, final_label, speed) in enumerate(_jobs(spec)):
         rng = derive_rng(spec.seed, gid)
         g = generate_gesture(template, speed, rng, noise_std=spec.noise_std)
         g.label = final_label
-        gestures.append(g)
-    counts = Counter(g.label for g in gestures)
-    manifest = {
+        yield g
+
+
+def dataset_manifest(spec: GenSpec) -> dict:
+    """The recipe, its gesture total and per-class counts, without
+    rendering a gesture."""
+    counts = Counter(label for _, label, _ in _jobs(spec))
+    return {
         "spec": asdict(spec),
         "seed": spec.seed,
-        "total": len(gestures),
+        "total": sum(counts.values()),
         "counts_per_label": {str(k): v for k, v in sorted(counts.items())},
         "format_version": FORMAT_VERSION,
     }
-    return gestures, manifest
 
+
+def generate_dataset(spec: GenSpec) -> tuple[list[GestureSeries], dict]:
+    """The full dataset for a recipe, held in memory, plus its manifest."""
+    return list(iter_dataset(spec)), dataset_manifest(spec)

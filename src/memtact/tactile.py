@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -257,6 +258,8 @@ def _pressure_tokens() -> np.ndarray:
 def write_gestures_jsonl(gestures, path) -> None:
     """One JSON record per gesture: {id, label, speed, frames}.
 
+    gestures may be any iterable; each record is written as it arrives.
+
     The text is json.dumps's of the frames rounded to 5 places. np.round is
     rint(x * 1e5) / 1e5, so a rounded value in [0, 1] is row k of the token
     table; json.dumps renders the others, -0.0 among them. Each token and
@@ -283,9 +286,14 @@ def write_gestures_jsonl(gestures, path) -> None:
             fh.write(f'{head[:-1]},"frames":[[[{body}}}\n')
 
 
-def read_gestures_jsonl(path) -> list[GestureSeries]:
-    """Parse gesture records; a bad record raises ValueError naming its line."""
-    gestures = []
+def read_gestures_jsonl(path) -> Iterator[GestureSeries]:
+    """Yield the gesture records one at a time, in file order.
+
+    A bad record raises ValueError naming its line when the reader reaches
+    it, and a file without records raises once it is exhausted; the file is
+    closed when the reader finishes or is closed.
+    """
+    empty = True
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -299,18 +307,19 @@ def read_gestures_jsonl(path) -> list[GestureSeries]:
                 # int() would truncate 3.7 to 3 and turn true into 1
                 if isinstance(label, bool) or not isinstance(label, int):
                     raise TypeError(f"label {label!r} is not an integer")
-                gestures.append(GestureSeries(
+                g = GestureSeries(
                     frames=np.asarray(rec["frames"], dtype=np.float64),
-                    label=label, speed=rec["speed"]))
+                    label=label, speed=rec["speed"])
             except KeyError as e:
                 raise ValueError(
                     f"{path}, line {lineno}: missing field {e}") from None
             except (TypeError, ValueError) as e:
                 raise ValueError(
                     f"{path}, line {lineno}: bad gesture record: {e}") from None
-    if not gestures:
+            empty = False
+            yield g
+    if empty:
         raise ValueError(f"{path}: no gesture records")
-    return gestures
 
 
 def write_features_csv(features: np.ndarray, labels, path,

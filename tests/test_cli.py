@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +36,7 @@ def test_gen_data_writes_dataset_and_manifest(tmp_path):
     out = tmp_path / "d.jsonl"
     assert run("gen-data", "--labels", 5, "--per-label", 4, "--seed", 1,
                "--out", out) == 0
-    gestures = tactile.read_gestures_jsonl(out)
+    gestures = list(tactile.read_gestures_jsonl(out))
     assert len(gestures) == 20
     manifest = json.loads((tmp_path / "d.jsonl.manifest.json").read_text())
     assert manifest["total"] == 20
@@ -45,6 +46,41 @@ def test_gen_data_writes_dataset_and_manifest(tmp_path):
     assert run("gen-data", "--labels", 5, "--per-label", 4, "--seed", 1,
                "--out", again) == 0
     assert again.read_bytes() == out.read_bytes()
+
+
+# Bound fixed before the first run. The 4N run renders and parses 120 more
+# gestures than the N run; their frames alone, at the fewest frames a
+# gesture can have (20), take 120 * 20 * 81 * 8 B = 1.56 MB, so a command
+# that holds every gesture at once grows by more than the bound, while one
+# that streams keeps only 120 more 38-value feature rows (tens of kB).
+INGEST_GROWTH_BOUND = 1 << 20
+
+
+def test_ingest_memory_is_flat_in_dataset_size(tmp_path):
+    """gen-data and extract-features hold one gesture at a time: their
+    traced peak on 4N gestures exceeds that on N by less than the bound."""
+
+    def peaks(per_label):
+        data = tmp_path / f"g{per_label}.jsonl"
+        out = []
+        for argv in (("gen-data", "--labels", 5, "--per-label", per_label,
+                      "--seed", 0, "--out", data),
+                     ("extract-features", "--data", data,
+                      "--out", tmp_path / f"f{per_label}.csv")):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            assert run(*argv) == 0
+            out.append(tracemalloc.get_traced_memory()[1] - base)
+        return out
+
+    tracemalloc.start()
+    try:
+        peaks(1)  # builds the writer's token table and other one-off caches
+        small, large = peaks(8), peaks(32)
+    finally:
+        tracemalloc.stop()
+    growth = [b - a for a, b in zip(small, large)]
+    assert max(growth) < INGEST_GROWTH_BOUND, (small, large)
 
 
 def test_extract_rejects_empty_dataset(tmp_path):
@@ -73,6 +109,7 @@ def test_extract_rejects_malformed_record(tmp_path, record):
     assert message.startswith("error:")
     assert "bad.jsonl, line 2" in message
     assert "\n" not in message
+    assert not (tmp_path / "f.csv").exists()
 
 
 @pytest.mark.parametrize("label", ["3.7", "true", '"3"'],
@@ -380,10 +417,13 @@ SIMULATE = ["simulate-trace", "--params", "PARAMS", "--out", "OUT"]
     ([*FIT, "--seed", -1], f"TRACE: {NEGATIVE_SEED}"),
     ([*TRAIN, "--hidden", -3], "hidden must be non-negative, got -3"),
     ([*SIMULATE, "--index", -1], "params index -1 out of range for 2 records"),
+    (["simulate-trace", "--params", "PARAM", "--index", 7, "--out", "OUT"],
+     "params index 7 out of range for 1 record"),
     ([*FIT, "--restarts", 0], "TRACE: restarts must be at least 1, got 0"),
     ([*FIT, "--restarts", -5], "TRACE: restarts must be at least 1, got -5"),
 ], ids=["gen_data_seed", "train_seed", "program_seed", "simulate_seed",
-        "fit_seed", "train_hidden", "simulate_index", "fit_restarts_zero",
+        "fit_seed", "train_hidden", "simulate_index", "simulate_index_one_record",
+        "fit_restarts_zero",
         "fit_restarts_negative"])
 def test_out_of_range_integer_setting_is_named(tmp_path, small_features,
                                                argv, message):
@@ -392,11 +432,12 @@ def test_out_of_range_integer_setting_is_named(tmp_path, small_features,
     nothing."""
     p = device.DeviceParams(gamma_up=0.09, gamma_down=0.07, sigma_c2c=0.02)
     paths = {"FEATURES": small_features, "MODEL": tmp_path / "model.json",
-             "PARAMS": tmp_path / "params.json", "TRACE": tmp_path / "t.csv",
-             "OUT": tmp_path / "out"}
+             "PARAMS": tmp_path / "params.json", "PARAM": tmp_path / "p.json",
+             "TRACE": tmp_path / "t.csv", "OUT": tmp_path / "out"}
     nn.save_model(nn.Network(nn.NetworkSpec((3, 2)), seed=0), paths["MODEL"],
                   classes=[0, 1])
     device.write_device_params([p, p], paths["PARAMS"])
+    device.write_device_params(p, paths["PARAM"])
     device.write_trace_csv(device.simulate_trace(
         p, device.PulseScheme(1, 20, 20, 40), 0.0, derive_rng(1, 0)),
         paths["TRACE"])

@@ -254,6 +254,11 @@ def test_update_validation():
         tile.stochastic_update(np.ones(2), np.array([1.0, np.nan]), 0.1, rng)
     with pytest.raises(ValueError):
         tile.stochastic_update(np.ones(2), np.array([-np.inf, 1.0]), 0.1, rng)
+    # a NaN lr fails every comparison and an infinite one fires every device
+    for lr in (np.nan, np.inf):
+        with pytest.raises(ValueError, match=f"lr must be finite and "
+                           f"non-negative, got {lr}"):
+            tile.stochastic_update(np.ones(2), np.ones(2), lr, rng)
     # rejected calls leave the running scales alone
     assert tile.stochastic_update(np.zeros(2), np.zeros(2), 0.1, rng) \
         == UpdateStats(0, 0, 0.0, 0.0)

@@ -1,8 +1,10 @@
 """Feature extraction tests: worked examples, symmetries, file formats."""
 
+import gc
 import hashlib
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -379,7 +381,7 @@ def test_gestures_jsonl_roundtrip(tmp_path):
     gestures[2].speed = "fast"
     path = tmp_path / "gestures.jsonl"
     write_gestures_jsonl(gestures, path)
-    back = read_gestures_jsonl(path)
+    back = list(read_gestures_jsonl(path))
     assert len(back) == 5
     assert back[2].label == 9 and back[2].speed == "fast"
     for a, b in zip(back, gestures):
@@ -448,8 +450,21 @@ def test_gen_data_file_is_pinned(tmp_path):
 def test_read_gestures_rejects_empty_file(tmp_path):
     path = tmp_path / "empty.jsonl"
     path.write_text("\n")
-    with pytest.raises(ValueError):
-        read_gestures_jsonl(path)
+    with pytest.raises(ValueError, match="no gesture records"):
+        list(read_gestures_jsonl(path))
+
+
+def test_reader_stopped_early_closes_its_file(tmp_path):
+    """Dropping the record reader after one record closes the file."""
+    path = tmp_path / "g.jsonl"
+    assert main(["gen-data", "--labels", "5", "--per-label", "1",
+                 "--seed", "0", "--out", str(path)]) == 0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        first = next(read_gestures_jsonl(path))
+        gc.collect()
+    assert first.label == 1
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def test_features_csv_roundtrip(tmp_path):
