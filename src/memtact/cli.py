@@ -103,16 +103,13 @@ def cmd_extract(args) -> int:
     defaults = dict(window=3)
     cfg = _resolve(args, defaults)
     window = int(cfg["window"])
-    feats, labels = [], []
-    # one record at a time, keeping only its feature row; the CSV is written
-    # after the last record parses, so a bad record leaves no output
-    for g in tactile.read_gestures_jsonl(args.data):
-        feats.append(tactile.extract_features(
-            tactile.preprocess(g, window=window)))
-        labels.append(g.label)
-    tactile.write_features_csv(np.array(feats), labels, args.out,
-                               header_lines=[f"config_hash={_config_hash(cfg)}"])
-    log.info("wrote %d feature rows to %s", len(labels), args.out)
+    # one record at a time: each row is written as its record is featurized,
+    # and a bad record leaves no CSV (see tactile.write_feature_rows)
+    rows = ((tactile.extract_features(tactile.preprocess(g, window=window)),
+             g.label) for g in tactile.read_gestures_jsonl(args.data))
+    count = tactile.write_feature_rows(
+        rows, args.out, header_lines=[f"config_hash={_config_hash(cfg)}"])
+    log.info("wrote %d feature rows to %s", count, args.out)
     return 0
 
 

@@ -30,6 +30,10 @@ ESCAPE_AFTER_FLIPS = 3
 # weight_map_affine puts a matrix's extremes on +-MARGIN of the half-range
 MARGIN = 0.9
 
+# the pulse kernel gathers and pulses at most this many devices at a time,
+# so a full-tile round holds one block of parameters, not a tile's worth
+PULSE_BLOCK = 8192
+
 
 @dataclass(frozen=True)
 class UpdateStats:
@@ -55,14 +59,28 @@ class AnalogTile:
     """
 
     def __init__(self, gamma_up, gamma_down, b_min, b_max, sigma_c2c):
-        # C order, so the flat row-major views of the pulse kernel share
-        # memory with the grids
-        arrays = [np.array(a, dtype=np.float64, order="C") for a in
-                  (gamma_up, gamma_down, b_min, b_max, sigma_c2c)]
-        shape = arrays[0].shape
-        if len(shape) != 2 or any(a.shape != shape for a in arrays):
+        # copies, so the tile aliases nothing its caller can still change
+        self._own(*(np.array(a, dtype=np.float64, order="C") for a in
+                    (gamma_up, gamma_down, b_min, b_max, sigma_c2c)))
+
+    @classmethod
+    def _of_grids(cls, *grids) -> "AnalogTile":
+        """Tile that takes the five parameter grids as they are, uncopied."""
+        tile = cls.__new__(cls)
+        tile._own(*grids)
+        return tile
+
+    def _own(self, *grids) -> None:
+        """Hold gamma_up, gamma_down, b_min, b_max and sigma_c2c grids.
+
+        Each grid is C-ordered or a read-only 0-stride broadcast of one
+        value, so the flat row-major views of the pulse kernel share memory
+        with the grids; nothing writes to them.
+        """
+        shape = grids[0].shape
+        if len(shape) != 2 or any(a.shape != shape for a in grids):
             raise ValueError("device parameter arrays must share a 2-D shape")
-        self._gu, self._gd, self._b_lo, self._b_hi, self._sig = arrays
+        self._gu, self._gd, self._b_lo, self._b_hi, self._sig = grids
         if not (np.all(self._b_lo < 0) and np.all(self._b_hi > 0)):
             raise ValueError("every device needs b_min < 0 < b_max")
         if not (np.all(self._gu > 0) and np.all(self._gd > 0)):
@@ -70,7 +88,7 @@ class AnalogTile:
         if np.any(self._sig < 0):
             raise ValueError("sigma_c2c must be non-negative")
         # flat views of the immutable grids, for the pulse kernel
-        self._flat = tuple(a.reshape(-1) for a in arrays)
+        self._flat = tuple(a.reshape(-1) for a in grids)
         self._w = np.zeros(shape)
         # per-device constants of the immutable parameters, made on first use
         self._midpoint = None
@@ -97,22 +115,27 @@ class AnalogTile:
     def uniform(cls, rows: int, cols: int, params: DeviceParams
                 ) -> "AnalogTile":
         """Tile of identical devices, mainly for idealized experiments."""
-        full = lambda v: np.full((rows, cols), v)
-        return cls(full(params.gamma_up), full(params.gamma_down),
-                   full(params.b_min), full(params.b_max),
-                   full(params.sigma_c2c))
+        const = lambda v: np.broadcast_to(np.float64(v), (rows, cols))
+        return cls._of_grids(const(params.gamma_up), const(params.gamma_down),
+                             const(params.b_min), const(params.b_max),
+                             const(params.sigma_c2c))
 
     @classmethod
     def from_distribution(cls, rows: int, cols: int, dist: DeviceDistribution,
                           rng: np.random.Generator, *,
                           sigma_c2c: float = DEFAULT_SIGMA_C2C) -> "AnalogTile":
-        """Tile whose devices rng draws independently from the population."""
+        """Tile whose devices rng draws independently from the population.
+
+        The tile owns the drawn gamma grids uncopied; the bounds and
+        sigma_c2c, the same for every device, are 0-stride broadcasts.
+        """
         n, a = sample_stats_grid(dist, rows * cols, rng)
         gu, gd = gammas_from_stats(n, a)
+        del n, a  # the draws go before the tile's state is made
         shape = (rows, cols)
-        return cls(gu.reshape(shape), gd.reshape(shape),
-                   np.full(shape, -1.0), np.full(shape, 1.0),
-                   np.full(shape, sigma_c2c))
+        const = lambda v: np.broadcast_to(np.float64(v), shape)
+        return cls._of_grids(gu.reshape(shape), gd.reshape(shape),
+                             const(-1.0), const(1.0), const(sigma_c2c))
 
     # -- reads ------------------------------------------------------------
 
@@ -176,14 +199,17 @@ class AnalogTile:
         The tile's one soft-bounds update: w += gamma * (1 + sigma * xi) *
         (bound - w), clipped to the device bounds, with one standard normal
         xi per pulsed device drawn in index order, up pulses before down.
+        The devices go in blocks of PULSE_BLOCK; each block draws its
+        normals from rng in turn, which are the draws of one call for all.
         """
         w = self._w.reshape(-1)
         gu, gd, lo, hi, sig = self._flat
         for idx, gamma, bound in ((up_idx, gu, hi), (down_idx, gd, lo)):
-            if idx.size:
-                w[idx] = pulse(w[idx], gamma[idx], sig[idx],
-                               rng.standard_normal(idx.size), bound[idx],
-                               lo[idx], hi[idx])
+            for start in range(0, idx.size, PULSE_BLOCK):
+                b = idx[start:start + PULSE_BLOCK]
+                w[b] = pulse(w[b], gamma[b], sig[b],
+                             rng.standard_normal(b.size), bound[b], lo[b],
+                             hi[b])
 
     def apply_pulses(self, up_mask: np.ndarray, down_mask: np.ndarray,
                      rng: np.random.Generator) -> None:
@@ -288,18 +314,25 @@ class AnalogTile:
         if max_iter < 1:
             raise ValueError("max_iter must be at least 1")
         floor = 0.005 * (self.nominal_b_max - self.nominal_b_min)
-        tol = np.maximum(epsilon * np.abs(targets), floor)
         attainable = (targets >= self._b_lo) & (targets <= self._b_hi)
         iterations = np.zeros(self._w.size, dtype=np.int64)
         escaped = np.zeros(self._w.size, dtype=bool)
         w = self._w.reshape(-1)
-        # the active set: flat row-major indices of the devices still outside
+        flat_targets = targets.reshape(-1)
+        # tolerance and error are built in place and dropped once the active
+        # set is made: flat row-major indices of the devices still outside
         # their band, with their targets, bands, error signs, sign-change
         # counts and escape flags compacted alongside; row-major order keeps
         # the noise draws those of full-tile masks
-        idx = np.flatnonzero(np.abs(self._w - targets) > tol)
-        t = targets.reshape(-1)[idx]
-        band = tol.reshape(-1)[idx]
+        band = np.abs(flat_targets)
+        band *= epsilon
+        np.maximum(band, floor, out=band)
+        err = w - flat_targets
+        np.abs(err, out=err)
+        idx = np.flatnonzero(err > band)
+        del err
+        band = band[idx]
+        t = flat_targets[idx]
         below = w[idx] < t
         flips = np.zeros(idx.size, dtype=np.int8)
         esc = np.zeros(idx.size, dtype=bool)
@@ -315,13 +348,20 @@ class AnalogTile:
             now_below = w_a < t
             flips += now_below ^ below
             below = now_below
-            done = np.abs(w_a - t) <= band
+            w_a -= t
+            done = np.abs(w_a, out=w_a) <= band
             if done.any():
                 iterations[idx[done]] = it
                 escaped[idx[done]] = esc[done]
+                # compacted one array at a time, so at most one old array
+                # is held beside the new ones
                 keep = ~done
-                idx, t, band, below, flips, esc = (
-                    a[keep] for a in (idx, t, band, below, flips, esc))
+                idx = idx[keep]
+                t = t[keep]
+                band = band[keep]
+                below = below[keep]
+                flips = flips[keep]
+                esc = esc[keep]
         iterations[idx] = max_iter
         escaped[idx] = esc
         converged = np.ones(self._w.size, dtype=bool)
@@ -355,8 +395,11 @@ class ProgramReport:
     @property
     def max_abs_rel_error(self) -> float:
         """Largest |achieved - target| relative to max(|target|, 0.01)."""
-        err = np.abs(self.achieved - self.targets)
-        return float((err / np.maximum(np.abs(self.targets), 0.01)).max())
+        err = self.achieved - self.targets
+        np.abs(err, out=err)
+        den = np.abs(self.targets)
+        err /= np.maximum(den, 0.01, out=den)
+        return float(err.max())
 
     def failure_causes(self) -> dict:
         """Why each unconverged device failed, as disjoint masks.

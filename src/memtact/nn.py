@@ -16,7 +16,6 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -121,6 +120,7 @@ class Network:
     """Digital FC network; weights[l] has shape (fan_in, fan_out)."""
 
     def __init__(self, spec: NetworkSpec, *, seed: int = 0):
+        """Random initial weights drawn from seed, zero biases."""
         self.spec = spec
         rng = derive_rng(seed, 0)
         dims = spec.layer_dims
@@ -132,6 +132,13 @@ class Network:
                 else math.sqrt(1.0 / fan_in)
             self.weights.append(rng.normal(0.0, gain, size=(fan_in, fan_out)))
             self.biases.append(np.zeros(fan_out))
+
+    @classmethod
+    def from_arrays(cls, spec: NetworkSpec, weights, biases) -> "Network":
+        """Network holding the given arrays, drawing no initial weights."""
+        net = cls.__new__(cls)
+        net.spec, net.weights, net.biases = spec, list(weights), list(biases)
+        return net
 
     def _mac(self, l: int, h: np.ndarray) -> np.ndarray:
         return h @ self.weights[l]
@@ -263,8 +270,10 @@ class AnalogNetwork:
         for l, tile in enumerate(self.tiles):
             w = tile.read_weights()
             scale, offset = self.scales[l], self.offsets[l]
-            out.append(w if scale == 1.0 and offset == 0.0
-                       else (w - offset) / scale)
+            if not (scale == 1.0 and offset == 0.0):
+                w -= offset  # in place on the copy read_weights made
+                w /= scale
+            out.append(w)
         return out
 
 
@@ -424,6 +433,9 @@ def program_network(net: Network, dist: DeviceDistribution | None = None, *,
     Each weight matrix is min-max mapped onto the central band of the tile
     range and written with closed-loop pulses; the inverse affine map is
     stored so analog scores track the digital ones up to programming error.
+    A constant matrix c is programmed as zeros and kept in the map:
+    scale 1 and offset -c make its effective weights (0 + c) / 1 = c, at
+    any c, inside the device bounds or not.
     """
     if dist is None:
         dist = default_distribution()
@@ -434,12 +446,13 @@ def program_network(net: Network, dist: DeviceDistribution | None = None, *,
         tile = AnalogTile.from_distribution(w.shape[0], w.shape[1], dist, rng)
         scale, offset = weight_map_affine(w, tile)
         # (0, 0) maps a constant w to +0.0 even if w < 0: -0.0 + 0.0 is +0.0
+        targets = w * scale
+        targets += offset
         reports.append(tile.program_and_verify(
-            scale * w + offset, rng, epsilon=epsilon, max_iter=max_iter))
+            targets, rng, epsilon=epsilon, max_iter=max_iter))
+        del targets  # the report holds its own copy
         if scale == 0.0:
-            # constant matrix: drop the map and keep the constant digitally
-            scale, offset = 1.0, 0.0
-            tile.set_weights(np.full(w.shape, float(w.ravel()[0])))
+            scale, offset = 1.0, -float(w.ravel()[0])
         tiles.append(tile)
         scales.append(scale)
         offsets.append(offset)
@@ -452,30 +465,56 @@ def program_network(net: Network, dist: DeviceDistribution | None = None, *,
 # file formats
 
 
+# values per json.dumps call when save_model writes a weight matrix
+JSON_CHUNK = 4096
+
+
 def save_model(net, path, *, scaler: FeatureScaler | None = None,
                classes=None, extra: dict | None = None) -> None:
     """Serialize a digital or analog network to JSON.
 
     Analog networks are stored through their effective weight matrices, which
-    is exactly what their noise-free forward computes.
+    is exactly what their noise-free forward computes. The file is
+    json.dumps(payload) + "\n", where payload["weights"] lists each matrix
+    row-major; a matrix is written JSON_CHUNK values at a time, so no
+    Python float or string the size of a whole matrix is ever made.
     """
     if isinstance(net, AnalogNetwork):
         weights = net.read_weight_matrices()
-        biases = net.biases
     else:
         weights = net.weights
-        biases = net.biases
     payload = {
         "spec": {"layer_dims": list(net.spec.layer_dims)},
-        "weights": [w.ravel().tolist() for w in weights],
-        "biases": [b.tolist() for b in biases],
+        "weights": None,  # streamed below
+        "biases": [b.tolist() for b in net.biases],
         "scaler": scaler.to_dict() if scaler is not None else None,
         "classes": list(int(c) for c in classes) if classes is not None
                    else None,
     }
     if extra:
         payload.update(extra)
-    Path(path).write_text(json.dumps(payload) + "\n")
+    # every other value is encoded before the file is opened
+    fields = [(json.dumps(key), None if key == "weights" else json.dumps(v))
+              for key, v in payload.items()]
+    with open(path, "w") as fh:
+        for i, (key, text) in enumerate(fields):
+            fh.write(("{" if i == 0 else ", ") + key + ": ")
+            if text is not None:
+                fh.write(text)
+                continue
+            fh.write("[")
+            for l, w in enumerate(weights):
+                flat = w.reshape(-1)
+                fh.write(", [" if l else "[")
+                for start in range(0, flat.size, JSON_CHUNK):
+                    if start:
+                        fh.write(", ")
+                    # json.dumps of a list is "[" + items + "]"
+                    fh.write(json.dumps(
+                        flat[start:start + JSON_CHUNK].tolist())[1:-1])
+                fh.write("]")
+            fh.write("]")
+        fh.write("}\n")
 
 
 def load_model(path):
@@ -496,18 +535,19 @@ def load_model(path):
                for k in ("weights", "biases")):
         raise ValueError(f"{path}: weights and biases need one list per "
                          f"layer")
-    net = Network(spec, seed=0)
+    weights, biases = [], []
     for l in range(spec.n_layers):
         w = json_array(path, d["weights"][l], f"layer {l} weights")
         if w.size != dims[l] * dims[l + 1]:
             raise ValueError(f"{path}: layer {l} weights hold {w.size} "
                              f"values, not {dims[l]}x{dims[l + 1]}")
-        net.weights[l] = w.reshape(dims[l], dims[l + 1])
+        weights.append(w.reshape(dims[l], dims[l + 1]))
         b = json_array(path, d["biases"][l], f"layer {l} biases")
         if b.shape != (dims[l + 1],):
             raise ValueError(f"{path}: layer {l} biases are not a list of "
                              f"{dims[l + 1]} numbers")
-        net.biases[l] = b
+        biases.append(b)
+    net = Network.from_arrays(spec, weights, biases)
     scaler = None
     if d.get("scaler"):
         s = json_object(path, d["scaler"], ("mean", "std"), "scaler")

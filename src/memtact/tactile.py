@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import functools
 import json
+import os
 from collections.abc import Iterator
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -330,13 +332,36 @@ def write_features_csv(features: np.ndarray, labels, path,
         raise ValueError(f"features must be (n, {FEATURE_LENGTH})")
     if labels.shape != (features.shape[0],):
         raise ValueError("one label per feature row required")
-    with open(path, "w") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write(",".join(FEATURE_NAMES + ["label"]) + "\n")
-        for row, lab in zip(features, labels):
-            fh.write(",".join(repr(float(v)) for v in row)
-                     + f",{int(lab)}\n")
+    write_feature_rows(zip(features, labels), path, header_lines)
+
+
+def write_feature_rows(rows, path, header_lines=()) -> int:
+    """Write (features, label) pairs to a feature CSV as rows yields them.
+
+    The rows go to `<path>.tmp`, which replaces path after the last row. If
+    rows or a write raises, the temporary file is deleted and path is left
+    as it was, so a bad input leaves no partial output. Returns the number
+    of rows written.
+    """
+    tmp = Path(f"{path}.tmp")
+    count = 0
+    try:
+        with open(tmp, "w") as fh:
+            for line in header_lines:
+                fh.write(f"# {line}\n")
+            fh.write(",".join(FEATURE_NAMES + ["label"]) + "\n")
+            for row, lab in rows:
+                if len(row) != FEATURE_LENGTH:
+                    raise ValueError(f"feature rows must hold "
+                                     f"{FEATURE_LENGTH} values")
+                fh.write(",".join(repr(float(v)) for v in row)
+                         + f",{int(lab)}\n")
+                count += 1
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return count
 
 
 def read_features_csv(path) -> tuple[np.ndarray, np.ndarray]:

@@ -109,7 +109,8 @@ def test_extract_rejects_malformed_record(tmp_path, record):
     assert message.startswith("error:")
     assert "bad.jsonl, line 2" in message
     assert "\n" not in message
-    assert not (tmp_path / "f.csv").exists()
+    # neither the CSV nor the temporary file its rows went to is left
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.jsonl"]
 
 
 @pytest.mark.parametrize("label", ["3.7", "true", '"3"'],
@@ -126,7 +127,8 @@ def test_extract_rejects_non_integer_label(tmp_path, label):
     assert "bad.jsonl, line 2" in message
     assert f"label {json.loads(label)!r} is not an integer" in message
     assert "\n" not in message
-    assert not (tmp_path / "f.csv").exists()
+    # neither the CSV nor the temporary file its rows went to is left
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.jsonl"]
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from memtact import crossbar
 from memtact.crossbar import (
     ESCAPE_AFTER_FLIPS,
     AnalogTile,
@@ -532,6 +533,39 @@ def test_apply_pulses_matches_mask_reference():
                               tiles[1].read_weights())
         assert (streams[0].bit_generator.state
                 == streams[1].bit_generator.state)
+
+
+@pytest.mark.parametrize("block, shape", [(7, (5, 9)), (None, (128, 200))],
+                         ids=["block_7", "default_block"])
+def test_blocked_pulse_matches_one_block_reference(monkeypatch, block, shape):
+    """The kernel pulses PULSE_BLOCK devices at a time, each block drawing
+    its normals in turn; across block boundaries, and for a count that is
+    an exact multiple of the block, states and generator match the mask
+    reference, which draws each polarity's normals in one call."""
+    if block is not None:
+        monkeypatch.setattr(crossbar, "PULSE_BLOCK", block)
+    block = crossbar.PULSE_BLOCK
+    size = shape[0] * shape[1]
+    assert size >= 3 * block
+    rng = derive_rng(14, 0)
+    up = rng.random(size) < 0.5
+    rounds = [(up, ~up)]  # both polarities span two blocks or more
+    up = np.zeros(size, dtype=bool)
+    up[:2 * block] = True
+    down = np.zeros(size, dtype=bool)
+    down[2 * block:3 * block] = True
+    rounds.append((up, down))  # exactly two blocks up, one down
+    assert min(np.count_nonzero(m) for m in rounds[0]) > block
+    tiles = [random_tile(*shape, derive_rng(14, 1)) for _ in range(2)]
+    streams = [derive_rng(14, 2) for _ in range(2)]
+    for up, down in rounds * 2:
+        tiles[0].apply_pulses(up.reshape(shape), down.reshape(shape),
+                              streams[0])
+        reference_apply_pulses(tiles[1], up.reshape(shape),
+                               down.reshape(shape), streams[1])
+    assert tiles[0].read_weights().tobytes() == \
+        tiles[1].read_weights().tobytes()
+    assert streams[0].bit_generator.state == streams[1].bit_generator.state
 
 
 # -- sparse coincidence update against the mask-based reference ------------

@@ -3,6 +3,7 @@
 import copy
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from memtact.crossbar import AnalogTile
 from memtact.data import Dataset, FeatureScaler, derive_rng
 from memtact.device import DeviceDistribution, default_distribution
 from memtact.nn import (
+    JSON_CHUNK,
     AnalogNetwork,
     Network,
     NetworkSpec,
@@ -578,12 +580,24 @@ def test_programmed_scores_track_fp_within_write_error():
 
 
 def test_program_constant_matrix_falls_back_to_digital_value():
-    net = Network(NetworkSpec((3, 2)), seed=0)
-    net.weights[0] = np.full((3, 2), 0.3)
-    analog, _ = program_network(net, seed=1)
-    assert analog.scales[0] == 1.0 and analog.offsets[0] == 0.0
-    x = derive_rng(17, 0).standard_normal(3)
-    np.testing.assert_allclose(analog.forward(x), net.forward(x), atol=1e-12)
+    """A constant matrix c programs zeros and keeps c in the map offset,
+    also where c lies outside the device bounds (5.0 > b_max = 1)."""
+    for c in (0.3, 5.0):
+        net = Network(NetworkSpec((3, 2)), seed=0)
+        net.weights[0] = np.full((3, 2), c)
+        analog, reports = program_network(net, seed=1)
+        assert analog.scales[0] == 1.0 and analog.offsets[0] == -c
+        assert np.array_equal(analog.tiles[0].read_weights(),
+                              np.zeros((3, 2)))
+        assert reports[0].converged.all()
+        assert np.array_equal(analog.read_weight_matrices()[0],
+                              net.weights[0])
+        x = derive_rng(17, 0).standard_normal(3)
+        np.testing.assert_allclose(analog.forward(x), net.forward(x),
+                                   atol=1e-12)
+        twos = np.full(3, 2.0)
+        assert np.array_equal(analog.forward(twos), net.forward(twos))
+        assert np.array_equal(analog.forward(twos), np.full(2, 6.0 * c))
 
 
 def test_analog_batch_forward_matches_per_sample():
@@ -655,6 +669,134 @@ def test_load_model_names_file_and_layer(tmp_path):
     with pytest.raises(ValueError) as exc:
         load_model(path)
     assert str(exc.value).startswith(f"{path}: layer_dims [3]: ")
+
+
+def reference_model_text(net, scaler=None, classes=None, extra=None):
+    """The model file as one json.dumps of the whole payload wrote it."""
+    payload = {
+        "spec": {"layer_dims": list(net.spec.layer_dims)},
+        "weights": [w.ravel().tolist() for w in net.weights],
+        "biases": [b.tolist() for b in net.biases],
+        "scaler": scaler.to_dict() if scaler is not None else None,
+        "classes": list(classes) if classes is not None else None,
+    }
+    payload.update(extra or {})
+    return json.dumps(payload) + "\n"
+
+
+def assert_same_text(got, want):
+    """got == want, naming the first differing offset; pytest's own diff
+    of two long strings would take minutes."""
+    if got != want:
+        at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
+                  min(len(got), len(want)))
+        pytest.fail(f"texts differ at offset {at}: {got[at:at + 40]!r} "
+                    f"!= {want[at:at + 40]!r}")
+
+
+SPECIAL_VALUES = [-0.0, 0.0, 5e-324, -2.5e-310, 1e300, -1e300,
+                  float("nan"), float("inf"), float("-inf")]
+
+
+@pytest.mark.parametrize("n", [1, JSON_CHUNK - 1, JSON_CHUNK, JSON_CHUNK + 1,
+                               2 * JSON_CHUNK + 3])
+def test_streamed_model_file_equals_one_dumps(tmp_path, n):
+    """save_model writes a matrix in chunks of JSON_CHUNK values, yet the
+    file is json.dumps(payload) + "\n" byte for byte, for sizes on both
+    sides of the chunk and for -0.0, subnormals, 1e300 and the non-finite
+    values json.dumps renders as NaN, Infinity and -Infinity."""
+    rng = derive_rng(n, 0)
+    weights = []
+    for shape in ((1, n), (n, 1)):
+        w = rng.standard_normal(n)
+        w[:len(SPECIAL_VALUES)] = SPECIAL_VALUES[:n]
+        weights.append(w.reshape(shape))
+    net = Network.from_arrays(NetworkSpec((1, n, 1)), weights,
+                              [rng.standard_normal(n), np.array([-0.0])])
+    path = tmp_path / "m.json"
+    save_model(net, path, classes=[3], extra={"mode": "fp_sgd"})
+    assert_same_text(path.read_text(), reference_model_text(
+        net, classes=[3], extra={"mode": "fp_sgd"}))
+
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False,
+                          allow_subnormal=True)
+
+
+@st.composite
+def model_cases(draw):
+    dims = draw(st.lists(st.integers(1, 5), min_size=2, max_size=4))
+    values = lambda size: np.array(
+        draw(st.lists(finite_floats, min_size=size, max_size=size)),
+        dtype=np.float64)
+    weights = [values(a * b).reshape(a, b) for a, b in zip(dims, dims[1:])]
+    biases = [values(b) for b in dims[1:]]
+    scaler = FeatureScaler(mean=values(dims[0]), std=values(dims[0])) \
+        if draw(st.booleans()) else None
+    classes = draw(st.none() | st.lists(st.integers(-2**40, 2**40),
+                                        max_size=6))
+    return NetworkSpec(tuple(dims)), weights, biases, scaler, classes
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(case=model_cases())
+def test_model_file_roundtrips_bit_for_bit(tmp_path_factory, case):
+    """save_model then load_model returns every array bit for bit (-0.0
+    and subnormals included), the scaler and the class list, and the file
+    is the one json.dumps of the payload."""
+    spec, weights, biases, scaler, classes = case
+    net = Network.from_arrays(spec, weights, biases)
+    path = tmp_path_factory.mktemp("model") / "m.json"
+    save_model(net, path, scaler=scaler, classes=classes)
+    assert_same_text(path.read_text(),
+                     reference_model_text(net, scaler, classes))
+    back, back_scaler, back_classes = load_model(path)
+    assert back.spec == spec
+    for got, want in zip(back.weights + back.biases, weights + biases):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    if scaler is None:
+        assert back_scaler is None
+    else:
+        assert back_scaler.mean.tobytes() == scaler.mean.tobytes()
+        assert back_scaler.std.tobytes() == scaler.std.tobytes()
+    assert back_classes == classes
+
+
+# Bound fixed before the first run. Per device, programming keeps the tile's
+# two drawn gamma grids and its state (24 B) and the report's targets,
+# achieved states and iteration counts plus three bool masks (27 B); the
+# caller's target array adds 8 B while it runs. Program-and-verify's set-up
+# and first round, where nearly every device is active, hold at most about
+# five more 8-byte arrays (band, error or active indices, targets, bands,
+# read-back states), so the peak is near 100 B and the bound leaves about a
+# quarter of headroom. save_model adds one 8-byte effective-weight copy and
+# a fixed-size chunk. Holding the five parameter grids twice (80 B), seven
+# gathered parameter arrays in one pulse round (56 B), or the whole matrix
+# as Python floats (32 B) plus its JSON text (about 60 B) all break it.
+PROGRAM_BYTES_PER_DEVICE = 128
+
+
+def test_program_and_save_memory_per_device_is_bounded(tmp_path):
+    """The traced peak of program_network plus save_model grows by less
+    than PROGRAM_BYTES_PER_DEVICE per device from a 64x64 to a 160x160
+    layer: programming holds one copy of what it must, plus blocks."""
+
+    def peak(n):
+        net = Network(NetworkSpec((n, n)), seed=n)
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        analog, _ = program_network(net, seed=3)
+        save_model(analog, tmp_path / f"p{n}.json")
+        return tracemalloc.get_traced_memory()[1] - base
+
+    tracemalloc.start()
+    try:
+        peak(8)  # lazy imports and one-off caches
+        small, large = peak(64), peak(160)
+    finally:
+        tracemalloc.stop()
+    per_device = (large - small) / (160 * 160 - 64 * 64)
+    assert per_device < PROGRAM_BYTES_PER_DEVICE, (small, large)
 
 
 def test_history_csv_roundtrip(tmp_path):

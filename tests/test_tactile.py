@@ -26,6 +26,7 @@ from memtact.tactile import (
     preprocess,
     read_features_csv,
     read_gestures_jsonl,
+    write_feature_rows,
     write_features_csv,
     write_gestures_jsonl,
 )
@@ -517,6 +518,29 @@ def test_features_csv_names_file_and_bad_line(tmp_path, row, message):
     with pytest.raises(ValueError) as exc:
         read_features_csv(path)
     assert str(exc.value) == f"{path}{message}"
+
+
+def test_feature_rows_stream_and_fail_without_output(tmp_path):
+    """write_feature_rows writes what write_features_csv writes, row by row;
+    when its rows raise, the file it replaces is left as it was and the
+    temporary file is gone."""
+    feats = np.stack([extract_features(random_series(derive_rng(27, k)))
+                      for k in range(3)])
+    whole, streamed = tmp_path / "whole.csv", tmp_path / "streamed.csv"
+    write_features_csv(feats, [4, 0, 4], whole, header_lines=["h=1"])
+    assert write_feature_rows(iter(zip(feats, [4, 0, 4])), streamed,
+                              header_lines=["h=1"]) == 3
+    assert streamed.read_bytes() == whole.read_bytes()
+
+    def rows():
+        yield feats[0], 4
+        raise ValueError("bad record")
+
+    with pytest.raises(ValueError, match="bad record"):
+        write_feature_rows(rows(), streamed)
+    assert streamed.read_bytes() == whole.read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["streamed.csv",
+                                                          "whole.csv"]
 
 
 def test_features_csv_shape_validation(tmp_path):
