@@ -38,6 +38,9 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
         if unknown:
             raise ValueError(f"{path}: unknown config keys {sorted(unknown)}")
         for key, val in file_cfg.items():
+            if type(defaults[key]) is int and type(val) is not int:
+                raise ValueError(f"{path}: config value {key} is not an "
+                                 f"integer")
             if not (isinstance(val, str)
                     or (type(val) in (int, float) and math.isfinite(val))):
                 raise ValueError(f"{path}: config value {key} is not a finite "

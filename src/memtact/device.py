@@ -504,12 +504,8 @@ def gammas_from_stats(n, a, b_min=DEFAULT_B_MIN, b_max=DEFAULT_B_MAX):
 def sample_device(dist: DeviceDistribution, rng: np.random.Generator, *,
                   sigma_c2c: float = DEFAULT_SIGMA_C2C) -> DeviceParams:
     """Draw one device from the population, with fixed bounds at -1 and +1."""
-    n, a = rng.multivariate_normal(dist.mean, dist.covariance,
-                                   check_valid="ignore")
-    n = max(float(n), dist.clamp_n_min)
-    a = float(np.clip(a, -dist.clamp_asym, dist.clamp_asym))
-    gu, gd = gammas_from_stats(n, a)
-    return DeviceParams(gamma_up=float(gu), gamma_down=float(gd),
+    gu, gd = gammas_from_stats(*sample_stats_grid(dist, 1, rng))
+    return DeviceParams(gamma_up=float(gu[0]), gamma_down=float(gd[0]),
                         b_min=DEFAULT_B_MIN, b_max=DEFAULT_B_MAX,
                         sigma_c2c=sigma_c2c)
 

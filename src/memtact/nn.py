@@ -116,22 +116,41 @@ def _activations(net, x: np.ndarray) -> list:
     return acts
 
 
+def _backward(net, x: np.ndarray, y: int):
+    """Cross-entropy loss, activations and each layer's output error for one
+    sample; net._backward_mac(l, d) is layer l's transpose MAC of d."""
+    acts = _activations(net, x)
+    # softmax returns a new array, used as the error
+    delta = softmax(acts[-1])
+    y = int(y)
+    loss = -math.log(max(delta[y], 1e-300))
+    delta[y] -= 1.0
+    deltas = [delta]
+    for l in range(len(net.biases) - 1, 0, -1):
+        # a hidden unit passes error where its ReLU output is positive,
+        # which is where its pre-activation was
+        deltas.append(net._backward_mac(l, deltas[-1]) * (acts[l] > 0))
+    deltas.reverse()
+    return loss, acts, deltas
+
+
+def _initial_weights(spec: NetworkSpec, rng: np.random.Generator) -> list:
+    """Normal weights per layer from rng: variance 2 / fan_in for hidden
+    layers, 1 / fan_in for the output layer."""
+    dims, last = spec.layer_dims, spec.n_layers - 1
+    return [rng.normal(0.0, math.sqrt((2.0 if l < last else 1.0) / dims[l]),
+                       size=(dims[l], dims[l + 1]))
+            for l in range(spec.n_layers)]
+
+
 class Network:
     """Digital FC network; weights[l] has shape (fan_in, fan_out)."""
 
     def __init__(self, spec: NetworkSpec, *, seed: int = 0):
         """Random initial weights drawn from seed, zero biases."""
         self.spec = spec
-        rng = derive_rng(seed, 0)
-        dims = spec.layer_dims
-        self.weights = []
-        self.biases = []
-        for l in range(spec.n_layers):
-            fan_in, fan_out = dims[l], dims[l + 1]
-            gain = math.sqrt(2.0 / fan_in) if l < spec.n_layers - 1 \
-                else math.sqrt(1.0 / fan_in)
-            self.weights.append(rng.normal(0.0, gain, size=(fan_in, fan_out)))
-            self.biases.append(np.zeros(fan_out))
+        self.weights = _initial_weights(spec, derive_rng(seed, 0))
+        self.biases = [np.zeros(d) for d in spec.layer_dims[1:]]
 
     @classmethod
     def from_arrays(cls, spec: NetworkSpec, weights, biases) -> "Network":
@@ -143,27 +162,17 @@ class Network:
     def _mac(self, l: int, h: np.ndarray) -> np.ndarray:
         return h @ self.weights[l]
 
+    def _backward_mac(self, l: int, d: np.ndarray) -> np.ndarray:
+        return self.weights[l] @ d
+
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Class scores (logits) for one sample or a batch of rows."""
         return _activations(self, x)[-1]
 
     def backprop(self, x: np.ndarray, y: int):
         """Cross-entropy loss and gradients for one sample."""
-        acts = _activations(self, x)
-        # softmax returns a new array, used as the error
-        delta = softmax(acts[-1])
-        loss = -math.log(max(delta[y], 1e-300))
-        delta[y] -= 1.0
-        last = len(self.weights) - 1
-        grads_w, grads_b = [None] * (last + 1), [None] * (last + 1)
-        for l in range(last, -1, -1):
-            grads_w[l] = np.outer(acts[l], delta)
-            grads_b[l] = delta
-            if l > 0:
-                # a hidden unit passes error where its ReLU output is
-                # positive, which is where its pre-activation was
-                delta = (self.weights[l] @ delta) * (acts[l] > 0)
-        return loss, grads_w, grads_b
+        loss, acts, deltas = _backward(self, x, y)
+        return loss, [np.outer(a, d) for a, d in zip(acts, deltas)], deltas
 
 
 def evaluate(net, dataset: Dataset) -> float:
@@ -174,27 +183,48 @@ def evaluate(net, dataset: Dataset) -> float:
     return float((scores.argmax(axis=1) == dataset.y).mean())
 
 
-def train_sgd_fp(net: Network, train: Dataset, cfg: TrainConfig,
-                 test: Dataset | None = None) -> TrainHistory:
-    """Per-sample SGD with cross-entropy loss; deterministic under cfg.seed."""
+def _train_epochs(net, train, test, epochs, rng, step) -> TrainHistory:
+    """Run step(x, y), which trains on one sample and returns its loss,
+    over each epoch in an order shuffled by rng; record net's train and test
+    accuracy (nan without a test set) and the mean loss per epoch."""
     if len(train) == 0:
         raise ValueError("training set is empty")
-    rng = derive_rng(cfg.seed, 1)
     history = TrainHistory()
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(len(train))
+    for epoch in range(epochs):
         total = 0.0
-        for i in order:
-            loss, gw, gb = net.backprop(train.x[i], int(train.y[i]))
-            total += loss
-            if cfg.lr:
-                for l in range(len(net.weights)):
-                    net.weights[l] -= cfg.lr * gw[l]
-                    net.biases[l] -= cfg.lr * gb[l]
+        for i in rng.permutation(len(train)):
+            total += step(train.x[i], int(train.y[i]))
         test_acc = evaluate(net, test) if test is not None else float("nan")
         history.append(epoch, evaluate(net, train), test_acc,
                        total / len(train))
     return history
+
+
+def _sgd(net, train, test, epochs, rng, lr, noise_std=0.0) -> TrainHistory:
+    """Per-sample SGD on net, shuffled by rng, with gradients taken under
+    weight noise drawn from rng when noise_std > 0 (see the finetune)."""
+    def step(x, y):
+        noisy = net
+        if noise_std > 0:
+            noisy = copy.copy(net)
+            noisy.weights = [
+                w * (1.0 + noise_std * rng.standard_normal(w.shape))
+                for w in net.weights]
+        loss, gw, gb = noisy.backprop(x, y)
+        if lr:
+            for l in range(len(net.weights)):
+                net.weights[l] -= lr * gw[l]
+                net.biases[l] -= lr * gb[l]
+        return loss
+
+    return _train_epochs(net, train, test, epochs, rng, step)
+
+
+def train_sgd_fp(net: Network, train: Dataset, cfg: TrainConfig,
+                 test: Dataset | None = None) -> TrainHistory:
+    """Per-sample SGD with cross-entropy loss; deterministic under cfg.seed."""
+    return _sgd(net, train, test, cfg.epochs, derive_rng(cfg.seed, 1),
+                cfg.lr)
 
 
 def hardware_aware_finetune(net: Network, train: Dataset, noise_std: float,
@@ -204,26 +234,13 @@ def hardware_aware_finetune(net: Network, train: Dataset, noise_std: float,
 
     Each sample sees weights w * (1 + noise_std * xi) during forward and
     backward, through a shallow copy of the network that shares its
-    biases; the resulting gradients are applied to the clean weights. With
-    noise_std = 0 this is plain continued SGD.
+    biases, and its gradients step the clean weights. rng shuffles each
+    epoch, then draws xi per sample, one array per matrix in layer order.
+    With noise_std = 0 this is plain continued SGD.
     """
     if noise_std < 0:
         raise ValueError("noise_std must be non-negative")
-    if len(train) == 0:
-        raise ValueError("training set is empty")
-    for _ in range(epochs):
-        order = rng.permutation(len(train))
-        for i in order:
-            noisy = net
-            if noise_std > 0:
-                noisy = copy.copy(net)
-                noisy.weights = [
-                    w * (1.0 + noise_std * rng.standard_normal(w.shape))
-                    for w in net.weights]
-            _, gw, gb = noisy.backprop(train.x[i], int(train.y[i]))
-            for l in range(len(net.weights)):
-                net.weights[l] -= lr * gw[l]
-                net.biases[l] -= lr * gb[l]
+    _sgd(net, train, None, epochs, rng, lr, noise_std)
     return net
 
 
@@ -260,6 +277,9 @@ class AnalogNetwork:
     def _mac(self, l: int, h: np.ndarray) -> np.ndarray:
         return self._undo_map(l, self.tiles[l].forward_mac(h), h)
 
+    def _backward_mac(self, l: int, d: np.ndarray) -> np.ndarray:
+        return self._undo_map(l, self.tiles[l].backward_mac(d), d)
+
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Class scores for one sample or a batch of rows."""
         return _activations(self, x)[-1]
@@ -282,14 +302,15 @@ class TTv2State:
     """Mutable state of the two-tile training scheme for one network.
 
     Per layer: the weight tile, the gradient-accumulation tile A, the digital
-    transfer accumulator H, a round-robin column cursor and a step counter.
+    transfer accumulator H and a round-robin column cursor; steps counts the
+    samples trained on.
     """
 
     net: AnalogNetwork
     a_tiles: list
     hidden: list
     cursors: list
-    counters: list
+    steps: int = 0
 
 
 TTV2_OUTPUT_SCALE = 0.8
@@ -306,28 +327,21 @@ def init_ttv2(spec: NetworkSpec, dist: DeviceDistribution, cfg: TrainConfig,
     per-device symmetry point, which also serves as the zero reference
     for transfer reads.
     """
-    init_rng = derive_rng(cfg.seed, 2)
-    tiles, a_tiles, hidden, biases, scales = [], [], [], [], []
-    dims = spec.layer_dims
-    for l in range(spec.n_layers):
-        rows, cols = dims[l], dims[l + 1]
+    tiles, a_tiles = [], []
+    for l, w in enumerate(_initial_weights(spec, derive_rng(cfg.seed, 2))):
         w_tile, a_tile = (AnalogTile.from_distribution(
-            rows, cols, dist, derive_rng(cfg.seed, stream + 2 * l),
+            *w.shape, dist, derive_rng(cfg.seed, stream + 2 * l),
             sigma_c2c=sigma_c2c) for stream in (10, 11))
-        gain = math.sqrt(2.0 / rows) if l < spec.n_layers - 1 \
-            else math.sqrt(1.0 / rows)
-        w_tile.set_weights(init_rng.normal(0.0, gain, size=(rows, cols))
-                           / TTV2_OUTPUT_SCALE)
+        w_tile.set_weights(w / TTV2_OUTPUT_SCALE)
         a_tile.set_weights(a_tile.symmetry_point())
         tiles.append(w_tile)
         a_tiles.append(a_tile)
-        hidden.append(np.zeros((rows, cols)))
-        biases.append(np.zeros(cols))
-        scales.append(1.0 / TTV2_OUTPUT_SCALE)
-    net = AnalogNetwork(spec, tiles, biases, scales=scales)
-    return TTv2State(net=net, a_tiles=a_tiles, hidden=hidden,
-                     cursors=[0] * spec.n_layers,
-                     counters=[0] * spec.n_layers)
+    net = AnalogNetwork(spec, tiles,
+                        [np.zeros(d) for d in spec.layer_dims[1:]],
+                        scales=[1.0 / TTV2_OUTPUT_SCALE] * spec.n_layers)
+    return TTv2State(net=net, a_tiles=a_tiles,
+                     hidden=[np.zeros(t.shape) for t in tiles],
+                     cursors=[0] * spec.n_layers)
 
 
 def _transfer_column(state: TTv2State, l: int, cfg: TrainConfig,
@@ -373,30 +387,23 @@ def _transfer_column(state: TTv2State, l: int, cfg: TrainConfig,
 
 def ttv2_step(state: TTv2State, x: np.ndarray, y: int, cfg: TrainConfig,
               rng: np.random.Generator) -> float:
-    """One sample of two-tile training; returns the cross-entropy loss."""
-    net = state.net
-    tiles, biases, a_tiles = net.tiles, net.biases, state.a_tiles
-    counters = state.counters
-    lr, fast_lr, every = cfg.lr, cfg.fast_lr, cfg.transfer_every
-    last = len(tiles) - 1
-    acts = _activations(net, x)
-    # softmax returns a new array, used as the error
-    delta = softmax(acts[-1])
-    y = int(y)
-    loss = -math.log(max(delta[y], 1e-300))
-    delta[y] -= 1.0
-    for l in range(last, -1, -1):
+    """One sample of two-tile training; returns the cross-entropy loss.
+
+    All errors come from the weights as the step found them; then, last
+    layer first, each layer pulses A, steps its bias and, every
+    transfer_every steps, moves one A column into its own W.
+    """
+    loss, acts, deltas = _backward(state.net, x, y)
+    lr, fast_lr = cfg.lr, cfg.fast_lr
+    biases, a_tiles = state.net.biases, state.a_tiles
+    state.steps += 1
+    transfer = lr and state.steps % cfg.transfer_every == 0
+    for l in range(len(deltas) - 1, -1, -1):
         if fast_lr:
-            a_tiles[l].stochastic_update(acts[l], delta, fast_lr, rng)
+            a_tiles[l].stochastic_update(acts[l], deltas[l], fast_lr, rng)
         if lr:
-            biases[l] -= lr * delta
-        if l:
-            # a hidden unit passes error where its ReLU output is positive,
-            # which is where its pre-activation was
-            delta = net._undo_map(l, tiles[l].backward_mac(delta), delta) \
-                * (acts[l] > 0)
-        counters[l] += 1
-        if lr and counters[l] % every == 0:
+            biases[l] -= lr * deltas[l]
+        if transfer:
             _transfer_column(state, l, cfg, rng)
     return loss
 
@@ -406,22 +413,11 @@ def train_ttv2(spec: NetworkSpec, train: Dataset, dist: DeviceDistribution,
                *, sigma_c2c: float = DEFAULT_SIGMA_C2C
                ) -> tuple[AnalogNetwork, TrainHistory]:
     """Full two-tile training run; deterministic under cfg.seed."""
-    if len(train) == 0:
-        raise ValueError("training set is empty")
     state = init_ttv2(spec, dist, cfg, sigma_c2c=sigma_c2c)
-    shuffle_rng = derive_rng(cfg.seed, 1)
     update_rng = derive_rng(cfg.seed, 3)
-    history = TrainHistory()
-    for epoch in range(cfg.epochs):
-        order = shuffle_rng.permutation(len(train))
-        total = 0.0
-        for i in order:
-            total += ttv2_step(state, train.x[i], int(train.y[i]), cfg,
-                               update_rng)
-        test_acc = evaluate(state.net, test) if test is not None \
-            else float("nan")
-        history.append(epoch, evaluate(state.net, train), test_acc,
-                       total / len(train))
+    history = _train_epochs(
+        state.net, train, test, cfg.epochs, derive_rng(cfg.seed, 1),
+        lambda x, y: ttv2_step(state, x, y, cfg, update_rng))
     return state.net, history
 
 
@@ -574,12 +570,19 @@ def write_history_csv(history: TrainHistory, path, header_lines=()) -> None:
 
 
 def read_history_csv(path) -> TrainHistory:
+    """Read a history; every ValueError names the file, a bad row its line."""
     history = TrainHistory()
-    with open(path) as fh:
-        rows = [r for r in csv.reader(fh)
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        rows = [(reader.line_num, r) for r in reader
                 if r and not r[0].startswith("#")]
-    if not rows or rows[0] != ["epoch", "train_acc", "test_acc", "loss"]:
+    if not rows or rows[0][1] != ["epoch", "train_acc", "test_acc", "loss"]:
         raise ValueError(f"{path}: not a history file")
-    for r in rows[1:]:
-        history.append(int(r[0]), float(r[1]), float(r[2]), float(r[3]))
+    for lineno, r in rows[1:]:
+        try:
+            if len(r) != 4:
+                raise ValueError(f"{len(r)} fields, not 4")
+            history.append(int(r[0]), float(r[1]), float(r[2]), float(r[3]))
+        except ValueError as e:
+            raise ValueError(f"{path}, line {lineno}: {e}") from None
     return history

@@ -159,11 +159,11 @@ def _raw_centroids(frames: np.ndarray, totals: np.ndarray
 def _resample_curve(values: np.ndarray) -> np.ndarray:
     """Linear resample onto TRAJECTORY_POINTS equidistant time points.
 
-    Interpolation weights are computed for the first half of the grid only;
-    each mirrored point reuses the same weight pair with the roles swapped
-    on the complementary segment n - 2 - j. The paired sums then consist of
-    identical products, so reversing the input reverses the output bit for
-    bit.
+    Interpolation weights are computed for the first half of the grid only
+    (TRAJECTORY_POINTS is even); each mirrored point reuses the same weight
+    pair with the roles swapped on the complementary segment n - 2 - j. The
+    paired sums then consist of identical products, so reversing the input
+    reverses the output bit for bit.
     """
     n = values.shape[0]
     if n == 1:
@@ -178,11 +178,6 @@ def _resample_curve(values: np.ndarray) -> np.ndarray:
         j_m = n - 2 - j
         out[k] = c * values[j] + f * values[j + 1]
         out[TRAJECTORY_POINTS - 1 - k] = f * values[j_m] + c * values[j_m + 1]
-    if TRAJECTORY_POINTS % 2 == 1:
-        t = 0.5 * last
-        j = min(int(t), n - 2)
-        f = t - j
-        out[TRAJECTORY_POINTS // 2] = (1.0 - f) * values[j] + f * values[j + 1]
     return out
 
 

@@ -349,6 +349,7 @@ def features_text(*rows) -> str:
     (["gen-data", "--config", "BAD", "--out", "OUT"], '{"labels": [5]}',
      "BAD"),
     ([*TRAIN, "--config", "BAD"], '{"epochs": null}', "BAD"),
+    ([*TRAIN, "--config", "BAD"], '{"epochs": 2.7, "hidden": 3.9}', "BAD"),
     (["gen-data", "--config", "BAD", "--out", "OUT"],
      '{"per_label": Infinity}', "BAD"),
     ([*TRAIN, "--config", "BAD"], "{epochs: 1}", "BAD"),
@@ -376,6 +377,7 @@ def features_text(*rows) -> str:
         "train_one_short_row", "train_text_feature",
         "train_fractional_label", "config_int",
         "config_list", "config_list_value", "config_null_value",
+        "config_fractional_int",
         "config_infinite_value",
         "config_not_json", "model_not_json",
         "gen_spec_rejected", "speed_mix_zero_denominator", "speed_mix_nan",

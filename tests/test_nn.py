@@ -15,7 +15,9 @@ from memtact.data import Dataset, FeatureScaler, derive_rng
 from memtact.device import DeviceDistribution, default_distribution
 from memtact.nn import (
     JSON_CHUNK,
+    TTV2_OUTPUT_SCALE,
     AnalogNetwork,
+    EpochRecord,
     Network,
     NetworkSpec,
     TrainConfig,
@@ -217,6 +219,50 @@ def test_sgd_history_is_reproducible():
     assert np.array_equal(runs[0].losses(), runs[1].losses())
 
 
+def three_clouds(seed):
+    """Train and test sets of three classes in three dimensions."""
+    centers = [(0, 1, 0), (1, 0, 1), (1, 1, 0)]
+    return (gaussian_clouds(10, centers, 0.4, derive_rng(seed, 0)),
+            gaussian_clouds(5, centers, 0.4, derive_rng(seed, 1)))
+
+
+def hand_initial_weights(dims, rng):
+    """Normal weights layer by layer: variance 2 / fan_in, 1 / fan_in for
+    the output layer."""
+    last = len(dims) - 2
+    return [rng.normal(0.0, math.sqrt((2.0 if l < last else 1.0) / dims[l]),
+                       size=(dims[l], dims[l + 1])) for l in range(last + 1)]
+
+
+def test_sgd_fp_streams_match_hand_loop():
+    """Initial weights come from (seed, 0) and each epoch's order from
+    (seed, 1); the history holds train and test accuracy after the epoch
+    and its mean loss."""
+    train, test = three_clouds(18)
+    spec = NetworkSpec((3, 4, 3))
+    net = Network(spec, seed=6)
+    history = train_sgd_fp(net, train, TrainConfig(lr=0.05, epochs=3, seed=6),
+                           test)
+    ref = Network.from_arrays(spec, hand_initial_weights(spec.layer_dims,
+                                                         derive_rng(6, 0)),
+                              [np.zeros(4), np.zeros(3)])
+    shuffle = derive_rng(6, 1)
+    records = []
+    for epoch in range(3):
+        total = 0.0
+        for i in shuffle.permutation(len(train)):
+            loss, gw, gb = ref.backprop(train.x[i], int(train.y[i]))
+            total += loss
+            for l in range(spec.n_layers):
+                ref.weights[l] -= 0.05 * gw[l]
+                ref.biases[l] -= 0.05 * gb[l]
+        records.append(EpochRecord(epoch, evaluate(ref, train),
+                                   evaluate(ref, test), total / len(train)))
+    assert history.records == records
+    for got, want in zip(net.weights + net.biases, ref.weights + ref.biases):
+        assert np.array_equal(got, want)
+
+
 def test_evaluate_memorized_and_chance_level():
     net = Network(NetworkSpec((10, 10)), seed=0)
     net.weights[0] = np.eye(10) * 5.0
@@ -252,6 +298,30 @@ def test_finetune_without_noise_is_plain_sgd():
         assert np.array_equal(a, b)
     for a, b in zip(net.biases, ref.biases):
         assert np.array_equal(a, b)
+
+
+def test_finetune_with_noise_matches_hand_loop():
+    """Each epoch draws its order, then each sample one normal array per
+    weight matrix in layer order, all from the caller's generator."""
+    train = gaussian_clouds(12, [(0, 2), (2, 0), (1, 1)], 0.5,
+                            derive_rng(8, 1))
+    net = Network(NetworkSpec((2, 4, 3)), seed=4)
+    ref = copy.deepcopy(net)
+    rng = derive_rng(9, 1)
+    hardware_aware_finetune(net, train, 0.2, 3, rng, lr=0.03)
+    ref_rng = derive_rng(9, 1)
+    for _ in range(3):
+        for i in ref_rng.permutation(len(train)):
+            noisy = Network.from_arrays(
+                ref.spec, [w * (1.0 + 0.2 * ref_rng.standard_normal(w.shape))
+                           for w in ref.weights], ref.biases)
+            _, gw, gb = noisy.backprop(train.x[i], int(train.y[i]))
+            for l in range(len(ref.weights)):
+                ref.weights[l] -= 0.03 * gw[l]
+                ref.biases[l] -= 0.03 * gb[l]
+    for got, want in zip(net.weights + net.biases, ref.weights + ref.biases):
+        assert np.array_equal(got, want)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_finetune_rejects_bad_args():
@@ -325,7 +395,7 @@ def test_transfer_cursor_schedule():
     for step in range(1, 21):
         ttv2_step(state, data.standard_normal(3), int(data.integers(4)),
                   cfg, rng)
-        assert state.counters[0] == step
+        assert state.steps == step
         assert state.cursors[0] == (step // 5) % 4
     # the accumulator tile never moved, so no pulses reached the weight tile
     assert np.array_equal(state.net.tiles[0].read_weights(), w0)
@@ -355,6 +425,46 @@ def test_ttv2_run_is_reproducible():
         final.append((net.read_weight_matrices()[0], history.losses()))
     assert np.array_equal(final[0][0], final[1][0])
     assert np.array_equal(final[0][1], final[1][1])
+
+
+def test_ttv2_streams_match_hand_loop():
+    """Layer l's tiles come from (seed, 10 + 2l) and (seed, 11 + 2l), the
+    initial weights from (seed, 2), each epoch's order from (seed, 1) and
+    every pulse from (seed, 3)."""
+    train, test = three_clouds(19)
+    spec = NetworkSpec((3, 4, 3))
+    dist = default_distribution()
+    cfg = TrainConfig(mode="ttv2", lr=0.1, fast_lr=0.5, transfer_every=2,
+                      epochs=2, seed=9)
+    net, history = train_ttv2(spec, train, dist, cfg, test)
+    state = init_ttv2(spec, dist, cfg)
+    initial = hand_initial_weights(spec.layer_dims, derive_rng(9, 2))
+    for l, w in enumerate(initial):
+        tile = AnalogTile.from_distribution(*w.shape, dist,
+                                            derive_rng(9, 10 + 2 * l))
+        tile.set_weights(w / TTV2_OUTPUT_SCALE)
+        assert np.array_equal(state.net.tiles[l].read_weights(),
+                              tile.read_weights())
+        a_tile = AnalogTile.from_distribution(*w.shape, dist,
+                                              derive_rng(9, 11 + 2 * l))
+        assert np.array_equal(state.a_tiles[l].read_weights(),
+                              a_tile.symmetry_point())
+    shuffle, update = derive_rng(9, 1), derive_rng(9, 3)
+    records = []
+    for epoch in range(2):
+        total = 0.0
+        for i in shuffle.permutation(len(train)):
+            total += ttv2_step(state, train.x[i], int(train.y[i]), cfg,
+                               update)
+        records.append(EpochRecord(epoch, evaluate(state.net, train),
+                                   evaluate(state.net, test),
+                                   total / len(train)))
+    assert history.records == records
+    assert state.steps == 2 * len(train)
+    for l in range(spec.n_layers):
+        assert np.array_equal(net.tiles[l].read_weights(),
+                              state.net.tiles[l].read_weights())
+        assert np.array_equal(net.biases[l], state.net.biases[l])
 
 
 def test_ttv2_matches_mask_reference_update(monkeypatch):
@@ -483,6 +593,7 @@ def reference_ttv2_step(state, x, y, cfg, rng):
     loss = -math.log(max(p[int(y)], 1e-300))
     delta = p.copy()
     delta[int(y)] -= 1.0
+    state.steps += 1
     for l in range(last, -1, -1):
         if cfg.fast_lr:
             state.a_tiles[l].stochastic_update(acts[l], delta, cfg.fast_lr,
@@ -493,8 +604,7 @@ def reference_ttv2_step(state, x, y, cfg, rng):
             back = reference_undo_map(net, l, net.tiles[l].backward_mac(delta),
                                       float(delta.sum()))
             delta = back * (pre[l - 1] > 0)
-        state.counters[l] += 1
-        if cfg.lr and state.counters[l] % cfg.transfer_every == 0:
+        if cfg.lr and state.steps % cfg.transfer_every == 0:
             reference_transfer_column(state, l, cfg, rng)
     return loss
 
@@ -556,7 +666,7 @@ def test_ttv2_step_matches_reference_loop(case):
         assert np.array_equal(state.hidden[l], ref.hidden[l])
         assert np.array_equal(state.net.biases[l], ref.net.biases[l])
     assert state.cursors == ref.cursors
-    assert state.counters == ref.counters
+    assert state.steps == ref.steps
     assert np.array_equal(state.net.forward(x), ref_scores)
     assert np.array_equal(state.net.forward(x[None])[0], ref_scores)
 
@@ -817,3 +927,18 @@ def test_history_csv_rejects_foreign_files(tmp_path):
     path.write_text("a,b\n1,2\n")
     with pytest.raises(ValueError):
         read_history_csv(path)
+
+
+@pytest.mark.parametrize("row, problem", [
+    ("3,0.5,0.4", "3 fields, not 4"),
+    ("x,0.5,0.4,0.1", "invalid literal for int()"),
+    ("3,0.5,0.4,low", "could not convert string to float"),
+], ids=["short_row", "text_epoch", "text_loss"])
+def test_history_csv_malformed_row_names_file_and_line(tmp_path, row,
+                                                       problem):
+    path = tmp_path / "history.csv"
+    path.write_text("# config_hash=abc\nepoch,train_acc,test_acc,loss\n"
+                    f"0,0.5,0.4,1.2\n{row}\n")
+    with pytest.raises(ValueError) as e:
+        read_history_csv(path)
+    assert str(e.value).startswith(f"{path}, line 4: {problem}")
