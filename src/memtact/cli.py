@@ -15,7 +15,6 @@ import glob as globlib
 import hashlib
 import json
 import logging
-import math
 import sys
 from pathlib import Path
 
@@ -38,13 +37,18 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
         if unknown:
             raise ValueError(f"{path}: unknown config keys {sorted(unknown)}")
         for key, val in file_cfg.items():
-            if type(defaults[key]) is int and type(val) is not int:
-                raise ValueError(f"{path}: config value {key} is not an "
-                                 f"integer")
-            if not (isinstance(val, str)
-                    or (type(val) in (int, float) and math.isfinite(val))):
-                raise ValueError(f"{path}: config value {key} is not a finite "
-                                 f"number or a string")
+            kind = type(defaults[key])
+            if kind is int:
+                ok, want = type(val) is int, "an integer"
+            elif kind is str:
+                ok, want = type(val) is str, "a string"
+            else:  # a float default, or None for a number chosen later
+                # NaN, infinities and integers past the float range fail
+                ok = (type(val) in (int, float)
+                      and abs(val) <= sys.float_info.max)
+                want = "a finite number"
+            if not ok:
+                raise ValueError(f"{path}: config value {key} is not {want}")
         cfg.update(file_cfg)
     for key in defaults:
         val = getattr(args, key, None)

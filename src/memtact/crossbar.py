@@ -53,51 +53,43 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 class AnalogTile:
     """Grid of soft-bounds devices holding one weight matrix.
 
+    Devices differ in their step coefficients only: gamma_up and gamma_down
+    are per-device grids, while the bounds b_min, b_max and the
+    cycle-to-cycle spread sigma_c2c are one float for the whole tile.
+
     The tile holds no random generator: every write draws its firing and
     cycle-to-cycle noise from the generator its caller passes, so the same
     generators and call sequence reproduce the state bit for bit.
     """
 
-    def __init__(self, gamma_up, gamma_down, b_min, b_max, sigma_c2c):
-        # copies, so the tile aliases nothing its caller can still change
-        self._own(*(np.array(a, dtype=np.float64, order="C") for a in
-                    (gamma_up, gamma_down, b_min, b_max, sigma_c2c)))
-
-    @classmethod
-    def _of_grids(cls, *grids) -> "AnalogTile":
-        """Tile that takes the five parameter grids as they are, uncopied."""
-        tile = cls.__new__(cls)
-        tile._own(*grids)
-        return tile
-
-    def _own(self, *grids) -> None:
-        """Hold gamma_up, gamma_down, b_min, b_max and sigma_c2c grids.
-
-        Each grid is C-ordered or a read-only 0-stride broadcast of one
-        value, so the flat row-major views of the pulse kernel share memory
-        with the grids; nothing writes to them.
-        """
-        shape = grids[0].shape
-        if len(shape) != 2 or any(a.shape != shape for a in grids):
-            raise ValueError("device parameter arrays must share a 2-D shape")
-        self._gu, self._gd, self._b_lo, self._b_hi, self._sig = grids
-        if not (np.all(self._b_lo < 0) and np.all(self._b_hi > 0)):
-            raise ValueError("every device needs b_min < 0 < b_max")
-        if not (np.all(self._gu > 0) and np.all(self._gd > 0)):
+    def __init__(self, gamma_up, gamma_down, b_min, b_max, sigma_c2c, *,
+                 _copy=True):
+        # the tile copies its caller's grids, so it aliases nothing the
+        # caller can still change; uniform and from_distribution pass
+        # _copy=False to hand over the fresh C-ordered grids they made
+        if _copy:
+            gamma_up, gamma_down = (np.array(g, dtype=np.float64, order="C")
+                                    for g in (gamma_up, gamma_down))
+        if gamma_up.ndim != 2 or gamma_down.shape != gamma_up.shape:
+            raise ValueError("gamma_up and gamma_down must share a 2-D shape")
+        if not (np.all(gamma_up > 0) and np.all(gamma_down > 0)):
             raise ValueError("every device needs positive step coefficients")
-        if np.any(self._sig < 0):
-            raise ValueError("sigma_c2c must be non-negative")
-        # flat views of the immutable grids, for the pulse kernel
-        self._flat = tuple(a.reshape(-1) for a in grids)
-        self._w = np.zeros(shape)
+        if any(np.ndim(v) for v in (b_min, b_max, sigma_c2c)):
+            raise ValueError("b_min, b_max and sigma_c2c are one value per "
+                             "tile, not per-device arrays")
+        self.b_min, self.b_max = float(b_min), float(b_max)
+        self.sigma_c2c = float(sigma_c2c)
+        if not -math.inf < self.b_min < 0.0 < self.b_max < math.inf:
+            raise ValueError("the tile needs finite bounds b_min < 0 < b_max")
+        if not 0.0 <= self.sigma_c2c < math.inf:
+            raise ValueError("sigma_c2c must be finite and non-negative")
+        self._gu, self._gd = gamma_up, gamma_down
+        self._w = np.zeros(gamma_up.shape)
         # per-device constants of the immutable parameters, made on first use
         self._midpoint = None
         self._symmetry = None
         self._scale_x = 0.0
         self._scale_d = 0.0
-        # nominal state range used for weight mapping and tolerance floors
-        self.nominal_b_min = float(np.median(self._b_lo))
-        self.nominal_b_max = float(np.median(self._b_hi))
 
     @property
     def rows(self) -> int:
@@ -115,10 +107,9 @@ class AnalogTile:
     def uniform(cls, rows: int, cols: int, params: DeviceParams
                 ) -> "AnalogTile":
         """Tile of identical devices, mainly for idealized experiments."""
-        const = lambda v: np.broadcast_to(np.float64(v), (rows, cols))
-        return cls._of_grids(const(params.gamma_up), const(params.gamma_down),
-                             const(params.b_min), const(params.b_max),
-                             const(params.sigma_c2c))
+        grid = lambda v: np.full((rows, cols), v, dtype=np.float64)
+        return cls(grid(params.gamma_up), grid(params.gamma_down),
+                   params.b_min, params.b_max, params.sigma_c2c, _copy=False)
 
     @classmethod
     def from_distribution(cls, rows: int, cols: int, dist: DeviceDistribution,
@@ -126,16 +117,14 @@ class AnalogTile:
                           sigma_c2c: float = DEFAULT_SIGMA_C2C) -> "AnalogTile":
         """Tile whose devices rng draws independently from the population.
 
-        The tile owns the drawn gamma grids uncopied; the bounds and
-        sigma_c2c, the same for every device, are 0-stride broadcasts.
+        The tile owns the drawn gamma grids uncopied; every device has the
+        unit bounds and the given sigma_c2c.
         """
         n, a = sample_stats_grid(dist, rows * cols, rng)
         gu, gd = gammas_from_stats(n, a)
         del n, a  # the draws go before the tile's state is made
-        shape = (rows, cols)
-        const = lambda v: np.broadcast_to(np.float64(v), shape)
-        return cls._of_grids(gu.reshape(shape), gd.reshape(shape),
-                             const(-1.0), const(1.0), const(sigma_c2c))
+        return cls(gu.reshape(rows, cols), gd.reshape(rows, cols), -1.0, 1.0,
+                   sigma_c2c, _copy=False)
 
     # -- reads ------------------------------------------------------------
 
@@ -161,7 +150,7 @@ class AnalogTile:
         return self._w.copy()
 
     def set_weights(self, w: np.ndarray) -> None:
-        """Directly load a state matrix, clamped to per-device bounds.
+        """Directly load a state matrix, clamped to the tile's bounds.
 
         Simulation-only plumbing for initial conditions; hardware writes go
         through pulses.
@@ -169,13 +158,13 @@ class AnalogTile:
         w = np.asarray(w, dtype=np.float64)
         if w.shape != self.shape:
             raise ValueError("weight matrix shape must match the tile")
-        self._w = np.ascontiguousarray(np.clip(w, self._b_lo, self._b_hi))
+        self._w = np.ascontiguousarray(np.clip(w, self.b_min, self.b_max))
 
     def midpoint_step(self) -> np.ndarray:
         """Per-device mean noise-free step magnitude at w = 0 (read-only)."""
         if self._midpoint is None:
             self._midpoint = _read_only(
-                0.5 * (self._gu * self._b_hi - self._gd * self._b_lo))
+                0.5 * (self._gu * self.b_max - self._gd * self.b_min))
         return self._midpoint
 
     def symmetry_point(self) -> np.ndarray:
@@ -187,7 +176,7 @@ class AnalogTile:
         """
         if self._symmetry is None:
             self._symmetry = _read_only(
-                (self._gu * self._b_hi + self._gd * self._b_lo)
+                (self._gu * self.b_max + self._gd * self.b_min)
                 / (self._gu + self._gd))
         return self._symmetry
 
@@ -197,19 +186,19 @@ class AnalogTile:
         """Pulse the devices at the given flat row-major indices once.
 
         The tile's one soft-bounds update: w += gamma * (1 + sigma * xi) *
-        (bound - w), clipped to the device bounds, with one standard normal
+        (bound - w), clipped to the tile's bounds, with one standard normal
         xi per pulsed device drawn in index order, up pulses before down.
         The devices go in blocks of PULSE_BLOCK; each block draws its
         normals from rng in turn, which are the draws of one call for all.
         """
         w = self._w.reshape(-1)
-        gu, gd, lo, hi, sig = self._flat
-        for idx, gamma, bound in ((up_idx, gu, hi), (down_idx, gd, lo)):
+        lo, hi, sig = self.b_min, self.b_max, self.sigma_c2c
+        for idx, gamma, bound in ((up_idx, self._gu.ravel(), hi),
+                                  (down_idx, self._gd.ravel(), lo)):
             for start in range(0, idx.size, PULSE_BLOCK):
                 b = idx[start:start + PULSE_BLOCK]
-                w[b] = pulse(w[b], gamma[b], sig[b],
-                             rng.standard_normal(b.size), bound[b], lo[b],
-                             hi[b])
+                w[b] = pulse(w[b], gamma[b], sig, rng.standard_normal(b.size),
+                             bound, lo, hi)
 
     def apply_pulses(self, up_mask: np.ndarray, down_mask: np.ndarray,
                      rng: np.random.Generator) -> None:
@@ -279,7 +268,7 @@ class AnalogTile:
         """Iteratively pulse every device toward its target and verify.
 
         A device counts as converged once |w - target| <= max(epsilon *
-        |target|, floor) where floor is 0.5% of the nominal state range.
+        |target|, floor) where floor is 0.5% of the tile's state range.
         Unconverged devices after max_iter pulses are flagged, including
         targets outside the physical bounds, which can never converge.
 
@@ -313,8 +302,8 @@ class AnalogTile:
                              f"{epsilon}")
         if max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        floor = 0.005 * (self.nominal_b_max - self.nominal_b_min)
-        attainable = (targets >= self._b_lo) & (targets <= self._b_hi)
+        floor = 0.005 * (self.b_max - self.b_min)
+        attainable = (targets >= self.b_min) & (targets <= self.b_max)
         iterations = np.zeros(self._w.size, dtype=np.int64)
         escaped = np.zeros(self._w.size, dtype=bool)
         w = self._w.reshape(-1)
@@ -433,7 +422,7 @@ def weight_map_affine(weights: np.ndarray, tile: AnalogTile
     """Coefficients (scale, offset) of the min-max map used for programming.
 
     targets = scale * weights + offset puts the extremes of `weights` on
-    +-MARGIN of the nominal half-range ([-0.9, +0.9] for unit bounds). A
+    +-MARGIN of the tile's half-range ([-0.9, +0.9] for unit bounds). A
     constant matrix yields (0, 0), mapping it to zeros; inference must then
     keep the constant weight. Shape and finiteness guard model-file weights.
     """
@@ -446,8 +435,8 @@ def weight_map_affine(weights: np.ndarray, tile: AnalogTile
     span = w_hi - w_lo
     if span == 0.0:
         return 0.0, 0.0
-    center = 0.5 * (tile.nominal_b_max + tile.nominal_b_min)
-    half = 0.5 * (tile.nominal_b_max - tile.nominal_b_min)
+    center = 0.5 * (tile.b_max + tile.b_min)
+    half = 0.5 * (tile.b_max - tile.b_min)
     t_lo = center - MARGIN * half
     t_hi = center + MARGIN * half
     scale = (t_hi - t_lo) / span

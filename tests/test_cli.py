@@ -2,10 +2,12 @@
 
 import hashlib
 import json
+import logging
 import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -21,9 +23,11 @@ def run(*argv) -> int:
     return main([str(a) for a in argv])
 
 
-@pytest.fixture()
-def small_features(tmp_path):
-    """A small 5-class dataset rendered and featurized through the CLI."""
+@pytest.fixture(scope="module")
+def small_features(tmp_path_factory):
+    """A small 5-class dataset rendered and featurized through the CLI,
+    once for the module; the tests only read it."""
+    tmp_path = tmp_path_factory.mktemp("small")
     data = tmp_path / "gestures.jsonl"
     feats = tmp_path / "features.csv"
     assert run("gen-data", "--labels", 5, "--per-label", 8, "--noise", 0.01,
@@ -352,6 +356,10 @@ def features_text(*rows) -> str:
     ([*TRAIN, "--config", "BAD"], '{"epochs": 2.7, "hidden": 3.9}', "BAD"),
     (["gen-data", "--config", "BAD", "--out", "OUT"],
      '{"per_label": Infinity}', "BAD"),
+    ([*TRAIN, "--config", "BAD"], '{"lr": "fast"}', "BAD"),
+    ([*TRAIN, "--config", "BAD"], '{"mode": 3}', "BAD"),
+    ([*TRAIN, "--config", "BAD"], '{"test_fraction": "0.3"}', "BAD"),
+    ([*TRAIN, "--config", "BAD"], '{"lr": 1%s}' % ("0" * 400), "BAD"),
     ([*TRAIN, "--config", "BAD"], "{epochs: 1}", "BAD"),
     (["infer", "--model", "BAD", "--features", "FEATURES"], "not json",
      "BAD"),
@@ -378,13 +386,20 @@ def features_text(*rows) -> str:
         "train_fractional_label", "config_int",
         "config_list", "config_list_value", "config_null_value",
         "config_fractional_int",
-        "config_infinite_value",
+        "config_infinite_value", "config_text_lr", "config_number_mode",
+        "config_text_fraction", "config_int_past_float_range",
         "config_not_json", "model_not_json",
         "gen_spec_rejected", "speed_mix_zero_denominator", "speed_mix_nan",
         "speed_mix_text", "noise_nan", "noise_inf", "infer_missing_model"])
 def test_malformed_json_payload_is_one_line_error(tmp_path, small_features,
-                                                  argv, payload, named):
-    """Bad input ends the command with one `error:` line and status 1."""
+                                                  caplog, argv, payload,
+                                                  named):
+    """Bad input ends the command with one `error:` line naming its source.
+
+    `main` raises SystemExit with that line, which the interpreter prints
+    as the only stderr line with status 1 (see the subprocess test below);
+    no other exception escapes, and nothing is logged or warned first.
+    """
     bad = tmp_path / "bad.json"
     if payload is not None:
         bad.write_text(payload)
@@ -393,17 +408,34 @@ def test_malformed_json_payload_is_one_line_error(tmp_path, small_features,
                   classes=[0, 1])
     paths = {"BAD": bad, "FEATURES": small_features, "MODEL": model,
              "OUT": tmp_path / "out"}
+    caplog.set_level(logging.DEBUG, logger="memtact")
+    with warnings.catch_warnings(record=True) as warned:
+        warnings.simplefilter("always")
+        with pytest.raises(SystemExit) as exc:
+            run(*(paths.get(a, a) for a in argv))
+    message = exc.value.code
+    assert isinstance(message, str) and message.startswith("error:")
+    assert "\n" not in message
+    assert str(paths.get(named, named)) in message
+    assert [r for r in caplog.records if r.name.startswith("memtact")] == []
+    assert [str(w.message) for w in warned] == []
+
+
+def test_error_exits_with_status_one_and_one_stderr_line(tmp_path):
+    """Run as a program, a command that fails exits with status 1 and
+    writes exactly its `error:` line to stderr."""
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"labels": [5]}')
     src = Path(memtact.__file__).resolve().parent.parent
     done = subprocess.run(
-        [sys.executable, "-m", "memtact.cli",
-         *(str(paths.get(a, a)) for a in argv)],
+        [sys.executable, "-m", "memtact.cli", "gen-data", "--config",
+         str(bad), "--out", str(tmp_path / "out")],
         env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
         text=True)
     assert done.returncode == 1
-    assert "Traceback" not in done.stderr
-    assert len(done.stderr.splitlines()) == 1
-    assert done.stderr.startswith("error:")
-    assert str(paths.get(named, named)) in done.stderr
+    assert done.stderr == (f"error: {bad}: config value labels is not an "
+                           f"integer\n")
+    assert not (tmp_path / "out").exists()
 
 
 NEGATIVE_SEED = "seed must be non-negative, got -1"

@@ -38,6 +38,48 @@ def random_tile(rows, cols, rng, sigma=0.05):
     return tile
 
 
+# -- construction -----------------------------------------------------------
+
+
+def test_constructor_copies_caller_gamma_grids():
+    rng = derive_rng(15, 0)
+    gu, gd = (rng.uniform(0.02, 0.2, (2, 3)) for _ in range(2))
+    tiles = [AnalogTile(gu, gd, -0.5, 2.0, 0.1),
+             AnalogTile(gu.copy(), gd.copy(), -0.5, 2.0, 0.1)]
+    gu[:] = 0.9  # the caller changes its arrays after building the tile
+    gd[:] = 0.9
+    up = rng.random((2, 3)) < 0.5
+    streams = [derive_rng(15, 1) for _ in range(2)]
+    for tile, stream in zip(tiles, streams):
+        for _ in range(5):
+            tile.apply_pulses(up, ~up, stream)
+    assert np.array_equal(tiles[0].read_weights(), tiles[1].read_weights())
+    assert np.array_equal(tiles[0].symmetry_point(),
+                          tiles[1].symmetry_point())
+
+
+@pytest.mark.parametrize("name", ["b_min", "b_max", "sigma_c2c"])
+def test_constructor_rejects_per_device_bound_or_spread(name):
+    grid = np.full((2, 3), 0.1)
+    values = dict(b_min=-1.0, b_max=1.0, sigma_c2c=0.05)
+    values[name] = np.full((2, 3), values[name])
+    with pytest.raises(ValueError) as exc:
+        AnalogTile(grid, grid, **values)
+    assert str(exc.value) == ("b_min, b_max and sigma_c2c are one value per "
+                              "tile, not per-device arrays")
+
+
+@pytest.mark.parametrize("b_min, b_max, sigma", [
+    (0.0, 1.0, 0.05), (-1.0, -0.5, 0.05), (-np.inf, 1.0, 0.05),
+    (-1.0, 1.0, -0.1), (-1.0, 1.0, np.nan)],
+    ids=["zero_b_min", "negative_b_max", "infinite_b_min",
+         "negative_sigma", "nan_sigma"])
+def test_constructor_rejects_bad_bounds_or_spread(b_min, b_max, sigma):
+    grid = np.full((2, 3), 0.1)
+    with pytest.raises(ValueError):
+        AnalogTile(grid, grid, b_min, b_max, sigma)
+
+
 # -- reads ------------------------------------------------------------------
 
 
@@ -339,7 +381,7 @@ def test_programmed_devices_meet_tolerance():
     targets = rng.uniform(-0.9, 0.9, size=(20, 20))
     report = tile.program_and_verify(targets, stream, epsilon=0.02,
                                      max_iter=200)
-    floor = 0.005 * (tile.nominal_b_max - tile.nominal_b_min)
+    floor = 0.005 * (tile.b_max - tile.b_min)
     tol = np.maximum(0.02 * np.abs(targets), floor)
     err = np.abs(report.achieved - targets)
     assert (err[report.converged] <= tol[report.converged]).all()
@@ -432,15 +474,15 @@ def test_program_validation():
 
 def reference_apply_pulses(tile, up_mask, down_mask, rng):
     """The mask-based soft-bounds pulse as the tile once ran it."""
-    for mask, gamma, bound in ((up_mask, tile._gu, tile._b_hi),
-                               (down_mask, tile._gd, tile._b_lo)):
+    for mask, gamma, bound in ((up_mask, tile._gu, tile.b_max),
+                               (down_mask, tile._gd, tile.b_min)):
         n = int(np.count_nonzero(mask))
         if n:
             xi = rng.standard_normal(n)
             m = mask
-            step = gamma[m] * (1.0 + tile._sig[m] * xi)
-            tile._w[m] = np.clip(tile._w[m] + step * (bound[m] - tile._w[m]),
-                                 tile._b_lo[m], tile._b_hi[m])
+            step = gamma[m] * (1.0 + tile.sigma_c2c * xi)
+            tile._w[m] = np.clip(tile._w[m] + step * (bound - tile._w[m]),
+                                 tile.b_min, tile.b_max)
 
 
 def reference_program(tile, targets, rng, epsilon=0.02, max_iter=200):
@@ -448,7 +490,7 @@ def reference_program(tile, targets, rng, epsilon=0.02, max_iter=200):
 
     Returns (achieved, iterations, converged, escaped).
     """
-    floor = 0.005 * (tile.nominal_b_max - tile.nominal_b_min)
+    floor = 0.005 * (tile.b_max - tile.b_min)
     tol = np.maximum(epsilon * np.abs(targets), floor)
     iterations = np.zeros(tile.shape, dtype=np.int64)
     escaped = np.zeros(tile.shape, dtype=bool)
@@ -572,11 +614,11 @@ def test_blocked_pulse_matches_one_block_reference(monkeypatch, block, shape):
 
 
 def reference_midpoint_step(tile):
-    return 0.5 * (tile._gu * tile._b_hi - tile._gd * tile._b_lo)
+    return 0.5 * (tile._gu * tile.b_max - tile._gd * tile.b_min)
 
 
 def reference_symmetry_point(tile):
-    return (tile._gu * tile._b_hi + tile._gd * tile._b_lo) \
+    return (tile._gu * tile.b_max + tile._gd * tile.b_min) \
         / (tile._gu + tile._gd)
 
 
@@ -658,10 +700,9 @@ def test_program_on_fortran_ordered_inputs_matches_c_order():
     rng = derive_rng(13, 0)
     gu, gd = (np.asfortranarray(rng.uniform(0.02, 0.2, (6, 4)))
               for _ in range(2))
-    bounds = np.full((6, 4), 1.0)
-    tiles = [AnalogTile(gu, gd, -bounds, bounds, np.full((6, 4), 0.05)),
+    tiles = [AnalogTile(gu, gd, -1.0, 1.0, 0.05),
              AnalogTile(np.ascontiguousarray(gu), np.ascontiguousarray(gd),
-                        -bounds, bounds, np.full((6, 4), 0.05))]
+                        -1.0, 1.0, 0.05)]
     start = rng.uniform(-0.5, 0.5, (4, 6)).T
     targets = rng.uniform(-0.8, 0.8, (6, 4))
     reports = []
@@ -673,6 +714,47 @@ def test_program_on_fortran_ordered_inputs_matches_c_order():
     assert reports[0].mean_iterations > 0
     assert np.array_equal(reports[0].achieved, reports[1].achieved)
     assert np.array_equal(reports[0].iterations, reports[1].iterations)
+
+
+# -- state bounds -----------------------------------------------------------
+
+
+@st.composite
+def bounded_write_cases(draw):
+    rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    params = DeviceParams(
+        gamma_up=draw(st.floats(1e-3, 0.9)),
+        gamma_down=draw(st.floats(1e-3, 0.9)),
+        b_min=draw(st.floats(-3.0, -0.05)), b_max=draw(st.floats(0.05, 3.0)),
+        sigma_c2c=draw(st.floats(0.0, 0.5)))
+    calls = draw(st.lists(st.sampled_from(["update", "pulses", "program"]),
+                          min_size=1, max_size=8))
+    return rows, cols, params, calls, draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(case=bounded_write_cases())
+def test_states_stay_within_tile_bounds(case):
+    """Every write leaves every state in [b_min, b_max], also where a large
+    step or a noisy pulse would carry a device past its bound."""
+    rows, cols, params, calls, seed = case
+    tile = AnalogTile.uniform(rows, cols, params)
+    rng, inputs = derive_rng(seed, 0), derive_rng(seed, 1)
+    for call in calls:
+        if call == "update":
+            tile.stochastic_update(inputs.standard_normal(rows),
+                                   inputs.standard_normal(cols),
+                                   float(inputs.choice([0.1, 1.0, 4.0])), rng)
+        elif call == "pulses":
+            for _ in range(5):
+                up = inputs.random((rows, cols)) < 0.5
+                tile.apply_pulses(up, ~up, rng)
+        else:  # targets out to 1.5 times the bounds: some are unattainable
+            targets = inputs.uniform(1.5 * params.b_min, 1.5 * params.b_max,
+                                     (rows, cols))
+            tile.program_and_verify(targets, rng, max_iter=20)
+        w = tile.read_weights()
+        assert (w >= params.b_min).all() and (w <= params.b_max).all()
 
 
 # -- serialization ----------------------------------------------------------

@@ -514,16 +514,14 @@ def reference_pulse(self, up_idx, down_idx, rng):
     if not (up_idx.size or down_idx.size):
         return
     w = self._w.reshape(-1)
-    lo, hi, sig = (a.reshape(-1) for a in (self._b_lo, self._b_hi,
-                                             self._sig))
+    lo, hi = self.b_min, self.b_max
     for idx, gamma, bound in ((up_idx, self._gu, hi),
                               (down_idx, self._gd, lo)):
         if idx.size:
             xi = rng.standard_normal(idx.size)
-            step = gamma.reshape(-1)[idx] * (1.0 + sig[idx] * xi)
+            step = gamma.reshape(-1)[idx] * (1.0 + self.sigma_c2c * xi)
             w_i = w[idx]
-            w[idx] = np.clip(w_i + step * (bound[idx] - w_i), lo[idx],
-                             hi[idx])
+            w[idx] = np.clip(w_i + step * (bound - w_i), lo, hi)
 
 
 def reference_undo_map(self, l, mac, x_sum):
