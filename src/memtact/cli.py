@@ -141,7 +141,7 @@ def cmd_simulate_trace(args) -> int:
 
 
 def cmd_fit_device(args) -> int:
-    defaults = dict(scheme="10,200,200,1000", restarts=8, seed=0)
+    defaults = dict(scheme="10,200,200,1000")
     cfg = _resolve(args, defaults)
     paths = []
     for pattern in args.traces:
@@ -156,13 +156,11 @@ def cmd_fit_device(args) -> int:
     for path in paths:
         trace = device.read_trace_csv(path)
         try:
-            params, report = device.fit_softbounds(
-                trace, scheme, restarts=int(cfg["restarts"]),
-                seed=int(cfg["seed"]))
+            params, report = device.fit_softbounds(trace, scheme)
         except ValueError as e:
             raise ValueError(f"{path}: {e}") from None
-        log.info("fit %s: residual %.3g after %d searches, %d evals", path,
-                 report.mad, report.restarts, report.evaluations)
+        log.info("fit %s: residual %.3g, %d evals, sigma_c2c %.3g", path,
+                 report.mad, report.evaluations, params.sigma_c2c)
         fitted.append(params)
     device.write_device_params(fitted if len(fitted) > 1 else fitted[0],
                                args.out)
@@ -337,8 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--traces", nargs="+", required=True,
                    help="trace CSV paths or globs")
     p.add_argument("--scheme", help="batches,up,down,alternating")
-    p.add_argument("--restarts", type=int)
-    p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True, help="fitted params JSON path")
     p.add_argument("--dist-out", dest="dist_out",
                    help="optional distribution JSON path")

@@ -23,8 +23,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import derive_rng
-
 DEFAULT_B_MIN = -1.0
 DEFAULT_B_MAX = 1.0
 DEFAULT_SIGMA_C2C = 0.05
@@ -229,18 +227,14 @@ def _noise_free_samples(gu, gd, b_lo, b_hi, scheme: PulseScheme, w0,
 
 @dataclass(frozen=True)
 class FitReport:
-    """Outcome of a trace fit: residual and search effort."""
+    """Outcome of a trace fit: residual and model evaluations."""
 
     mad: float
     evaluations: int
-    restarts: int
 
 
-# A fit stops at the first residual below FIT_F_TOL; a noisy fit also stops
-# once its first two searches agree within FIT_AGREE_RTOL, relative, as one
-# basin. Both are read at call time
+# A fit whose residual is below FIT_F_TOL stops there; read at call time
 FIT_F_TOL = 1e-6
-FIT_AGREE_RTOL = 1e-6
 
 # Nelder & Mead (1965) with scipy's default coefficients: reflection,
 # expansion, contraction and shrink
@@ -335,110 +329,82 @@ def _nelder_mead(fun, x0, *, xatol: float, fatol: float, maxiter: int,
     return np.array(sim[0]), np.min(fsim), nfev
 
 
-def fit_softbounds(trace: Trace, scheme: PulseScheme, *, restarts: int = 8,
-                   seed: int = 0) -> tuple[DeviceParams, FitReport]:
+def fit_softbounds(trace: Trace, scheme: PulseScheme
+                   ) -> tuple[DeviceParams, FitReport]:
     """Recover soft-bounds parameters from a measured trace.
 
-    Runs a Nelder-Mead simplex search (reflection 1, expansion 2,
-    contraction 0.5, shrink 0.5) from up to two heuristic starts plus
-    restarts - 1 random ones, minimizing the mean absolute deviation between
-    the noise-free model response and the trace. A search that stalls above
-    FIT_F_TOL is run once more from where it stopped. The fit stops at the
-    first residual below FIT_F_TOL, which noise-free traces normally reach on
-    the first start, so that start runs alone. So does the second: a noisy
-    trace never gets under FIT_F_TOL, but when the first two residuals agree
-    within FIT_AGREE_RTOL, relative, the better of the two is kept (the first
-    on a tie) and the other starts are skipped, as further starts are
-    unlikely to find a better basin (Boender & Rinnooy Kan 1987). Otherwise
-    the other starts run one after another. The report counts the searches
-    and evaluations up to the one that stopped the fit.
+    A pulse is affine in the state, w' = w + gamma (b - w). So per polarity
+    the least-squares line of each step against the state it started from,
+    the step-against-conductance line of Kim et al. 2019, has slope -gamma
+    and crosses zero at b. That start, clipped into the search domain, is
+    kept if its mean absolute deviation (MAD) between the noise-free model
+    trace and the measured one is below FIT_F_TOL, as on a noise-free trace.
+    Otherwise one Nelder-Mead simplex search (reflection 1, expansion 2,
+    contraction 0.5, shrink 0.5) minimizes the MAD from there, and is run
+    once more from where it stopped if it stalls above FIT_F_TOL.
+
+    sigma_c2c is sqrt(sum r^2 / sum (gamma (b - w))^2), with r each pulse's
+    residual against the fitted model, over the pulses whose result lies
+    strictly inside the fitted bounds: the spread left around the mean
+    response (Gong et al. 2018). The report counts every model evaluation.
     """
-    if restarts < 1:
-        raise ValueError(f"restarts must be at least 1, got {restarts}")
     samples = np.asarray(trace.samples, dtype=np.float64)
     expected = scheme.total_pulses() + 1
     if samples.size != expected:
         raise ValueError(
             f"trace length {samples.size} does not match scheme ({expected})")
     lo, hi = float(samples.min()), float(samples.max())
-    span = hi - lo
-    if span <= 1e-12 * max(1.0, abs(lo), abs(hi)):
+    if hi - lo <= 1e-12 * max(1.0, abs(lo), abs(hi)):
         raise ValueError("trace has no dynamic range, nothing to fit")
     w0 = float(samples[0])
-    big = 1e30
+    w, step = samples[:-1], np.diff(samples)
+    up = scheme.polarity_sequence() > 0
+    line = []
+    for sel in (up, ~up):
+        x, d = w[sel], step[sel]
+        if x.size < 2 or np.ptp(x) == 0.0:
+            raise ValueError("a fit needs at least 2 pulses of each polarity, "
+                             "from distinct states")
+        dx = x - x.mean()
+        g = -float(dx @ d) / float(dx @ dx)
+        if not 1e-5 < g < 0.999:
+            g = min(max(g, 2e-5), 0.99)
+        line += [g, float(x.mean() + d.mean() / g)]
+    gu, b_hi, gd, b_lo = line
+    x0 = [gu, gd, min(b_lo, w0, -2e-9), max(b_hi, w0, 2e-9)]
     buf = np.empty(samples.size)
 
-    def in_domain(gu, gd, b_lo, b_hi):
-        return (1e-5 < gu < 0.999 and 1e-5 < gd < 0.999
-                and not (b_lo >= -1e-9 or b_hi <= 1e-9)
-                and b_lo <= w0 <= b_hi
-                # keep at least two resolvable states
-                and not (b_hi - b_lo) < (gu * b_hi - gd * b_lo))
-
     def mad(p):
-        """Mean absolute deviation at point p; big off the domain."""
-        if not in_domain(*p):
-            return big
+        """Mean absolute deviation at point p; 1e30 off the domain."""
+        gu, gd, b_lo, b_hi = p
+        if not (1e-5 < gu < 0.999 and 1e-5 < gd < 0.999
+                and b_lo < -1e-9 and b_hi > 1e-9 and b_lo <= w0 <= b_hi):
+            return 1e30
         _noise_free_samples(*p, scheme, w0, out=buf)
         np.subtract(buf, samples, out=buf)
         np.abs(buf, out=buf)
         return float(buf.sum() / buf.size)
 
-    rng = derive_rng(seed)
-    b_hi0 = hi + 0.05 * span if hi > 0 else 0.05 * span
-    b_lo0 = lo - 0.05 * span if lo < 0 else -0.05 * span
-    # slope of the first few samples against the estimated headroom
-    d0 = float(np.mean(np.abs(np.diff(samples[:min(6, samples.size)]))))
-    g0 = float(np.clip(d0 / max(b_hi0 - w0, 1e-3), 1e-3, 0.5))
-    starts = []
-    if scheme.batches and scheme.up_per_batch and scheme.down_per_batch:
-        # after a long constant-polarity run the device parks essentially at
-        # its bound, so the run-end samples pin b_max / b_min, and the first
-        # pulse of each run exposes gamma via delta = gamma * headroom
-        k_up = scheme.up_per_batch
-        p_hi = float(samples[k_up])
-        p_lo = float(samples[k_up + scheme.down_per_batch])
-        if p_lo < -1e-6 < 1e-6 < p_hi:
-            gsu = float(np.clip((samples[1] - samples[0])
-                                / max(p_hi - w0, 1e-3), 1e-3, 0.5))
-            gsd = float(np.clip((samples[k_up] - samples[k_up + 1])
-                                / max(p_hi - p_lo, 1e-3), 1e-3, 0.5))
-            starts.append(np.array([gsu, gsd, p_lo, p_hi]))
-    starts.append(np.array([g0, g0, b_lo0, b_hi0]))
-    for _ in range(restarts - 1):
-        starts.append(np.array([
-            10.0 ** rng.uniform(-3.0, -0.4),
-            10.0 ** rng.uniform(-3.0, -0.4),
-            lo - span * rng.uniform(0.01, 0.5),
-            hi + span * rng.uniform(0.01, 0.5),
-        ]))
-
+    fun, evals = mad(x0), 1
     opts = dict(xatol=1e-8, fatol=FIT_F_TOL, maxiter=4000, maxfev=6000)
-
-    best = None
-    evals = 0
-    funs = []
-    for x0 in starts:
-        x, fun, nfev = _nelder_mead(mad, x0, **opts)
-        if FIT_F_TOL <= fun < big:
-            # re-expand the simplex where it stalled; a fresh simplex often
-            # escapes the narrow valley that collapsed the first one
-            x2, fun2, nfev2 = _nelder_mead(mad, x, **opts)
-            nfev += nfev2
-            if fun2 < fun:
-                x, fun = x2, fun2
-        evals += nfev
-        funs.append(fun)
-        if best is None or fun < best[1]:
-            best = x, fun
-        if best[1] < FIT_F_TOL or (len(funs) == 2 and abs(funs[0] - funs[1])
-                               <= FIT_AGREE_RTOL * min(funs)):
+    for _ in range(2):
+        if fun < FIT_F_TOL:
             break
-    (gu, gd, b_lo, b_hi), fun = best
-    params = DeviceParams(gamma_up=float(gu), gamma_down=float(gd),
-                          b_min=float(b_lo), b_max=float(b_hi), sigma_c2c=0.0)
-    return params, FitReport(mad=float(fun), evaluations=evals,
-                             restarts=len(funs))
+        # the second search re-expands the simplex where the first stalled;
+        # a fresh simplex often escapes the narrow valley that collapsed it
+        x, f, nfev = _nelder_mead(mad, x0, **opts)
+        evals += nfev
+        if f < fun:
+            x0, fun = x.tolist(), f
+    gu, gd, b_lo, b_hi = x0
+    drive = np.where(up, gu, gd) * (np.where(up, b_hi, b_lo) - w)
+    inside = (samples[1:] > b_lo) & (samples[1:] < b_hi)
+    r, drive = step[inside] - drive[inside], drive[inside]
+    den = float(drive @ drive)
+    params = DeviceParams(gamma_up=gu, gamma_down=gd, b_min=b_lo, b_max=b_hi,
+                          sigma_c2c=math.sqrt(float(r @ r) / den)
+                          if den > 0.0 else 0.0)
+    return params, FitReport(mad=float(fun), evaluations=evals)
 
 
 @dataclass(frozen=True)

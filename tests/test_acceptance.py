@@ -79,30 +79,50 @@ def fp_reference(corpus):
     return history.records[-1].test_acc
 
 
-def test_criterion_1_fit_recovers_random_devices(capsys):
+def _fit_random_devices(sigma_c2c):
+    """Fit criterion 1's 50 random devices, traced at one cycle-to-cycle
+    spread: the worst parameter error, the worst |fitted sigma_c2c -
+    sigma_c2c| and the seconds taken."""
     t0 = time.monotonic()
     draws = derive_rng(11, 0)
     scheme = PulseScheme()
-    worst = 0.0
+    worst = worst_sigma = 0.0
     for i in range(50):
         gu, gd = 10.0 ** draws.uniform(np.log10(0.04), np.log10(0.25), 2)
         b_lo = draws.uniform(-1.25, -0.75)
         b_hi = draws.uniform(0.75, 1.25)
         true = DeviceParams(gamma_up=gu, gamma_down=gd, b_min=b_lo,
-                            b_max=b_hi, sigma_c2c=0.0)
+                            b_max=b_hi, sigma_c2c=sigma_c2c)
         trace = simulate_trace(true, scheme, 0.0, derive_rng(12, i))
-        fit, _ = fit_softbounds(trace, scheme, seed=0)
+        fit, _ = fit_softbounds(trace, scheme)
         errs = (abs(fit.gamma_up - gu) / gu,
                 abs(fit.gamma_down - gd) / gd,
                 abs(fit.b_min - b_lo) / abs(b_lo),
                 abs(fit.b_max - b_hi) / b_hi)
         worst = max(worst, *errs)
-    elapsed = time.monotonic() - t0
+        worst_sigma = max(worst_sigma, abs(fit.sigma_c2c - sigma_c2c))
+    return worst, worst_sigma, time.monotonic() - t0
+
+
+def test_criterion_1_fit_recovers_random_devices(capsys):
+    worst, _, elapsed = _fit_random_devices(0.0)
     ok = worst < 0.01 and elapsed < 60.0
     report(capsys, 1, ok, f"50 fitted devices, worst parameter error "
                           f"{100 * worst:.4f}% (<1%), {elapsed:.1f}s (<60s)")
     assert worst < 0.01
     assert elapsed < 60.0
+
+
+def test_criterion_1b_fit_measures_cycle_to_cycle_spread(capsys):
+    """Criterion 1's devices and seeds, traced at sigma_c2c 0.05."""
+    worst, worst_sigma, elapsed = _fit_random_devices(0.05)
+    ok = worst < 0.01 and worst_sigma <= 0.005
+    report(capsys, "1b", ok, f"50 devices at sigma_c2c 0.05, worst parameter "
+                             f"error {100 * worst:.4f}% (<1%), worst "
+                             f"sigma_c2c error {worst_sigma:.4f} (<=0.005), "
+                             f"{elapsed:.1f}s")
+    assert worst < 0.01
+    assert worst_sigma <= 0.005
 
 
 def test_criterion_2_population_median_states(capsys):

@@ -361,6 +361,8 @@ def features_text(*rows) -> str:
     ([*TRAIN, "--config", "BAD"], '{"test_fraction": "0.3"}', "BAD"),
     ([*TRAIN, "--config", "BAD"], '{"lr": 1%s}' % ("0" * 400), "BAD"),
     ([*TRAIN, "--config", "BAD"], "{epochs: 1}", "BAD"),
+    (["fit-device", "--traces", "t.csv", "--config", "BAD", "--out", "OUT"],
+     '{"restarts": 8}', "BAD"),
     (["infer", "--model", "BAD", "--features", "FEATURES"], "not json",
      "BAD"),
     (["gen-data", "--speed-mix", "1,1,1", "--out", "OUT"], None,
@@ -388,7 +390,7 @@ def features_text(*rows) -> str:
         "config_fractional_int",
         "config_infinite_value", "config_text_lr", "config_number_mode",
         "config_text_fraction", "config_int_past_float_range",
-        "config_not_json", "model_not_json",
+        "config_not_json", "config_fit_restarts", "model_not_json",
         "gen_spec_rejected", "speed_mix_zero_denominator", "speed_mix_nan",
         "speed_mix_text", "noise_nan", "noise_inf", "infer_missing_model"])
 def test_malformed_json_payload_is_one_line_error(tmp_path, small_features,
@@ -439,8 +441,6 @@ def test_error_exits_with_status_one_and_one_stderr_line(tmp_path):
 
 
 NEGATIVE_SEED = "seed must be non-negative, got -1"
-FIT = ["fit-device", "--traces", "TRACE", "--scheme", "1,20,20,40",
-       "--out", "OUT"]
 SIMULATE = ["simulate-trace", "--params", "PARAMS", "--out", "OUT"]
 
 
@@ -450,22 +450,20 @@ SIMULATE = ["simulate-trace", "--params", "PARAMS", "--out", "OUT"]
     (["program", "--model", "MODEL", "--seed", -1, "--out", "OUT"],
      NEGATIVE_SEED),
     ([*SIMULATE, "--seed", -1], NEGATIVE_SEED),
-    ([*FIT, "--seed", -1], f"TRACE: {NEGATIVE_SEED}"),
     ([*TRAIN, "--hidden", -3], "hidden must be non-negative, got -3"),
     ([*SIMULATE, "--index", -1], "params index -1 out of range for 2 records"),
     (["simulate-trace", "--params", "PARAM", "--index", 7, "--out", "OUT"],
      "params index 7 out of range for 1 record"),
-    ([*FIT, "--restarts", 0], "TRACE: restarts must be at least 1, got 0"),
-    ([*FIT, "--restarts", -5], "TRACE: restarts must be at least 1, got -5"),
+    (["fit-device", "--traces", "TRACE", "--scheme", "1,20,20,30", "--out",
+      "OUT"], "TRACE: trace length 81 does not match scheme (71)"),
 ], ids=["gen_data_seed", "train_seed", "program_seed", "simulate_seed",
-        "fit_seed", "train_hidden", "simulate_index", "simulate_index_one_record",
-        "fit_restarts_zero",
-        "fit_restarts_negative"])
+        "train_hidden", "simulate_index", "simulate_index_one_record",
+        "fit_scheme_mismatch"])
 def test_out_of_range_integer_setting_is_named(tmp_path, small_features,
                                                argv, message):
-    """A seed, count or index out of range ends the command with one
-    `error:` line that names the setting and its value, and writes
-    nothing."""
+    """A seed, count or index out of range, or a scheme that does not
+    match the trace, ends the command with one `error:` line that names the
+    setting and its value, and writes nothing."""
     p = device.DeviceParams(gamma_up=0.09, gamma_down=0.07, sigma_c2c=0.02)
     paths = {"FEATURES": small_features, "MODEL": tmp_path / "model.json",
              "PARAMS": tmp_path / "params.json", "PARAM": tmp_path / "p.json",

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from memtact import device
 from memtact.data import derive_rng
 from memtact.device import (
     _nelder_mead,
@@ -272,7 +271,7 @@ def test_fit_recovers_known_device():
     params = make_params(gu=0.12, gd=0.07, b_min=-0.8, b_max=1.1)
     scheme = PulseScheme()
     trace = simulate_trace(params, scheme, 0.0, derive_rng(0, 0))
-    fitted, report = fit_softbounds(trace, scheme, seed=0)
+    fitted, report = fit_softbounds(trace, scheme)
     assert report.mad < 1e-6
     for got, want in ((fitted.gamma_up, 0.12), (fitted.gamma_down, 0.07),
                       (fitted.b_min, -0.8), (fitted.b_max, 1.1)):
@@ -283,7 +282,7 @@ def test_fit_tracks_saturation_plateau():
     params = make_params(gu=0.3, gd=0.25)
     scheme = PulseScheme(1, 200, 200, 0)
     trace = simulate_trace(params, scheme, 0.0, derive_rng(0, 0))
-    fitted, _ = fit_softbounds(trace, scheme, seed=0)
+    fitted, _ = fit_softbounds(trace, scheme)
     plateau = float(trace.samples.max())
     assert abs(fitted.b_max - plateau) / plateau < 0.01
 
@@ -294,6 +293,11 @@ def test_fit_rejects_degenerate_traces():
         fit_softbounds(Trace(samples=np.full(11, 0.4)), scheme)
     with pytest.raises(ValueError):
         fit_softbounds(Trace(samples=np.linspace(0, 1, 7)), scheme)
+    # one down pulse cannot identify the lower bound
+    one_down = PulseScheme(1, 10, 1, 0)
+    trace = simulate_trace(make_params(), one_down, 0.0, derive_rng(0, 0))
+    with pytest.raises(ValueError, match="at least 2 pulses of each"):
+        fit_softbounds(trace, one_down)
 
 
 def _noisy_bench_traces(seed):
@@ -313,37 +317,58 @@ def _worst_error(fit, true):
 
 
 @pytest.mark.parametrize("seed", [201, 203, 207, 209])
-def test_stopped_fit_matches_nine_searches(seed, monkeypatch):
-    """Two agreeing searches end a noisy fit, and lose nothing that counts.
+def test_fit_matches_search_from_truth(seed):
+    """One search from the regression start loses nothing that counts.
 
     The fit's residual is at most that of the true device's noise-free
-    trace; at seed 201 it is within 1e-6, relative, of the residual of all
-    nine searches, and its worst parameter error within 0.001 of theirs.
+    trace, and within 1e-5, relative, of the residual a search started at
+    the true parameters reaches.
     """
     scheme, traces = _noisy_bench_traces(seed)
     for true, trace in traces:
-        fit, report = fit_softbounds(trace, scheme, seed=0)
-        model = _noise_free_samples(true.gamma_up, true.gamma_down,
-                                    true.b_min, true.b_max, scheme, 0.0)
-        assert report.mad <= float(np.mean(np.abs(model - trace.samples)))
-        if seed != 201:
-            continue
-        with monkeypatch.context() as m:
-            m.setattr(device, "FIT_AGREE_RTOL", -1.0)
-            fit9, report9 = fit_softbounds(trace, scheme, seed=0)
-        assert report9.restarts == 9
-        assert abs(report.mad - report9.mad) <= 1e-6 * report9.mad
-        assert _worst_error(fit, true) <= _worst_error(fit9, true) + 0.001
+        fit, report = fit_softbounds(trace, scheme)
+
+        def mad(p):
+            gu, gd, b_lo, b_hi = p
+            if not (0 < gu < 1 and 0 < gd < 1 and b_lo < 0.0 < b_hi):
+                return 1e30
+            model = _noise_free_samples(*p, scheme, 0.0)
+            return float(np.mean(np.abs(model - trace.samples)))
+
+        truth = [true.gamma_up, true.gamma_down, true.b_min, true.b_max]
+        assert report.mad <= mad(truth)
+        _, ref, _ = _nelder_mead(mad, truth, xatol=1e-8, fatol=1e-6,
+                                 maxiter=4000, maxfev=6000)
+        assert abs(report.mad - ref) <= 1e-5 * ref
 
 
 def test_fit_is_deterministic():
     params = make_params(gu=0.09, gd=0.11)
     scheme = PulseScheme(2, 60, 60, 120)
     trace = simulate_trace(params, scheme, 0.0, derive_rng(0, 0))
-    f1, r1 = fit_softbounds(trace, scheme, seed=3)
-    f2, r2 = fit_softbounds(trace, scheme, seed=3)
+    f1, r1 = fit_softbounds(trace, scheme)
+    f2, r2 = fit_softbounds(trace, scheme)
     assert f1 == f2
     assert r1 == r2
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(gu=st.floats(0.005, 0.9), gd=st.floats(0.005, 0.9),
+       b_lo=st.floats(-2.0, -0.05), b_hi=st.floats(0.05, 2.0),
+       start=st.floats(0.01, 0.99),
+       layout=st.tuples(st.integers(1, 3), st.integers(3, 60),
+                        st.integers(3, 60), st.integers(0, 60)))
+def test_noise_free_fit_is_exact_at_once(gu, gd, b_lo, b_hi, start, layout):
+    """On a noise-free trace the regression start is the fit: every
+    parameter within 1e-9, relative, no spread, and one model evaluation."""
+    scheme = PulseScheme(*layout)
+    true = make_params(gu=gu, gd=gd, b_min=b_lo, b_max=b_hi)
+    w0 = b_lo + start * (b_hi - b_lo)
+    fit, report = fit_softbounds(
+        simulate_trace(true, scheme, w0, derive_rng(0, 0)), scheme)
+    assert _worst_error(fit, true) <= 1e-9
+    assert fit.sigma_c2c <= 1e-9
+    assert report.evaluations == 1
 
 
 # -- populations ------------------------------------------------------------
