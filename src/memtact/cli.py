@@ -20,8 +20,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import crossbar, device, gesturegen, nn, tactile
-from .data import Dataset, FeatureScaler, derive_rng, stratified_split_indices
+from . import device
+from .data import Dataset, FeatureScaler, derive_rng, json_object, \
+    read_json, stratified_split_indices
 
 log = logging.getLogger("memtact")
 
@@ -31,8 +32,7 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
     cfg = dict(defaults)
     path = getattr(args, "config", None)
     if path:
-        file_cfg = device.json_object(path, device.read_json(path), (),
-                                      "config")
+        file_cfg = json_object(path, read_json(path), (), "config")
         unknown = set(file_cfg) - set(defaults)
         if unknown:
             raise ValueError(f"{path}: unknown config keys {sorted(unknown)}")
@@ -80,6 +80,7 @@ def _encode_labels(y: np.ndarray) -> tuple[np.ndarray, list]:
 
 
 def cmd_gen_data(args) -> int:
+    from . import gesturegen, tactile
     defaults = dict(labels=10, per_label=306, speed_mix="1/3,1/3,1/3",
                     noise=gesturegen.DEFAULT_NOISE_STD, seed=0)
     cfg = _resolve(args, defaults)
@@ -107,6 +108,7 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_extract(args) -> int:
+    from . import tactile
     defaults = dict(window=3)
     cfg = _resolve(args, defaults)
     window = int(cfg["window"])
@@ -184,6 +186,7 @@ def _split_features(x, y, test_fraction, seed):
 
 
 def cmd_train(args) -> int:
+    from . import nn, tactile
     defaults = dict(mode="fp_sgd", hidden=0, lr=None, fast_lr=0.5,
                     transfer_every=5, epochs=100, seed=0, test_fraction=0.25)
     cfg = _resolve(args, defaults)
@@ -229,6 +232,7 @@ def _load_distribution(path) -> device.DeviceDistribution:
 
 
 def cmd_program(args) -> int:
+    from . import crossbar, nn
     defaults = dict(epsilon=0.02, max_iter=200, seed=0)
     cfg = _resolve(args, defaults)
     net, scaler, classes = nn.load_model(args.model)
@@ -254,6 +258,7 @@ def cmd_program(args) -> int:
 
 
 def _model_accuracy(model_path, features_path, x, y) -> float:
+    from . import nn
     net, scaler, classes = nn.load_model(model_path)
     if classes is None:
         raise ValueError(f"{model_path} lacks a class list")
@@ -271,6 +276,7 @@ def _model_accuracy(model_path, features_path, x, y) -> float:
 
 
 def cmd_infer(args) -> int:
+    from . import tactile
     defaults = dict(seed=0)
     cfg = _resolve(args, defaults)
     x, y = tactile.read_features_csv(args.features)

@@ -1,8 +1,11 @@
-"""Shared plumbing: datasets, feature scaling, splits, and rng stream derivation."""
+"""Shared plumbing: datasets, feature scaling, splits, rng stream derivation,
+and the JSON readers that name the file a bad value came from."""
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -100,3 +103,38 @@ def stratified_split_indices(labels, test_fraction: float, rng: np.random.Genera
     train = np.sort(np.concatenate(train_idx))
     test = np.sort(np.concatenate(test_idx))
     return train, test
+
+
+def read_json(path):
+    """The JSON value in a file; a ValueError for bad text names the file."""
+    try:
+        return json.loads(Path(path).read_text())
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
+
+
+def json_object(path, payload, keys, what: str) -> dict:
+    """payload if it is a JSON object holding every key; else a ValueError."""
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: {what} is not a JSON object")
+    missing = [k for k in keys if k not in payload]
+    if missing:
+        raise ValueError(f"{path}: {what} lacks {', '.join(missing)}")
+    return payload
+
+
+def json_float(path, value, what: str) -> float:
+    """float(value); a ValueError naming the file if value has none."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{path}: {what} is not a number") from None
+
+
+def json_array(path, value, what: str) -> np.ndarray:
+    """value as a float64 array; else a ValueError naming the file."""
+    try:
+        return np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ValueError(f"{path}: {what} is not an array of numbers") \
+            from None

@@ -23,6 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .data import json_array, json_float, json_object, read_json
+
 DEFAULT_B_MIN = -1.0
 DEFAULT_B_MAX = 1.0
 DEFAULT_SIGMA_C2C = 0.05
@@ -423,6 +425,8 @@ class DeviceDistribution:
             raise ValueError("mean must be (n_states, asymmetry)")
         if cov.shape != (2, 2):
             raise ValueError("covariance must be 2x2")
+        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
+            raise ValueError("mean and covariance must be finite")
         if not np.allclose(cov, cov.T, rtol=1e-9, atol=1e-12):
             raise ValueError("covariance must be symmetric")
         cov = 0.5 * (cov + cov.T)
@@ -431,8 +435,8 @@ class DeviceDistribution:
             raise ValueError("covariance must be positive semi-definite")
         if not 0.0 < self.clamp_asym < 1.0:
             raise ValueError("clamp_asym must lie in (0, 1)")
-        if self.clamp_n_min < 2.0:
-            raise ValueError("clamp_n_min must be at least 2")
+        if not 2.0 <= self.clamp_n_min < math.inf:
+            raise ValueError("clamp_n_min must be finite and at least 2")
         mean.setflags(write=False)
         cov.setflags(write=False)
         object.__setattr__(self, "mean", mean)
@@ -521,41 +525,6 @@ def read_trace_csv(path) -> Trace:
         return Trace(samples=np.array(values))
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from None
-
-
-def read_json(path):
-    """The JSON value in a file; a ValueError for bad text names the file."""
-    try:
-        return json.loads(Path(path).read_text())
-    except ValueError as e:
-        raise ValueError(f"{path}: {e}") from None
-
-
-def json_object(path, payload, keys, what: str) -> dict:
-    """payload if it is a JSON object holding every key; else a ValueError."""
-    if not isinstance(payload, dict):
-        raise ValueError(f"{path}: {what} is not a JSON object")
-    missing = [k for k in keys if k not in payload]
-    if missing:
-        raise ValueError(f"{path}: {what} lacks {', '.join(missing)}")
-    return payload
-
-
-def json_float(path, value, what: str) -> float:
-    """float(value); a ValueError naming the file if value has none."""
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{path}: {what} is not a number") from None
-
-
-def json_array(path, value, what: str) -> np.ndarray:
-    """value as a float64 array; else a ValueError naming the file."""
-    try:
-        return np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError):
-        raise ValueError(f"{path}: {what} is not an array of numbers") \
-            from None
 
 
 def write_device_params(params, path) -> None:

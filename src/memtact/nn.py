@@ -20,9 +20,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .crossbar import AnalogTile, ProgramReport, weight_map_affine
-from .data import Dataset, FeatureScaler, derive_rng
+from .data import Dataset, FeatureScaler, derive_rng, json_array, \
+    json_object, read_json
 from .device import DEFAULT_SIGMA_C2C, DeviceDistribution, \
-    default_distribution, json_array, json_object, read_json
+    default_distribution
 
 
 @dataclass(frozen=True)
@@ -527,6 +528,11 @@ def load_model(path):
         spec = NetworkSpec(tuple(dims))
     except ValueError as e:
         raise ValueError(f"{path}: layer_dims {dims}: {e}") from None
+    if classes is not None and len(classes) != dims[-1]:
+        raise ValueError(f"{path}: classes holds {len(classes)} labels, not "
+                         f"{dims[-1]}")
+    if classes is not None and len(set(classes)) != len(classes):
+        raise ValueError(f"{path}: classes repeats a label")
     if not all(isinstance(d[k], list) and len(d[k]) == spec.n_layers
                for k in ("weights", "biases")):
         raise ValueError(f"{path}: weights and biases need one list per "

@@ -146,6 +146,51 @@ def test_cli_import_leaves_scipy_unloaded():
     assert out.strip() == "[]"
 
 
+@pytest.fixture(scope="module")
+def command_inputs(tmp_path_factory):
+    """A gesture file, two traces and a model for the module-set test."""
+    tmp_path = tmp_path_factory.mktemp("inputs")
+    assert run("gen-data", "--labels", 5, "--per-label", 1, "--out",
+               tmp_path / "g.jsonl") == 0
+    params = device.DeviceParams(gamma_up=0.09, gamma_down=0.07,
+                                 sigma_c2c=0.02)
+    for k in (1, 2):
+        trace = device.simulate_trace(params, device.PulseScheme(1, 20, 20, 40),
+                                      0.0, derive_rng(k))
+        device.write_trace_csv(trace, tmp_path / f"t{k}.csv")
+    nn.save_model(nn.Network(nn.NetworkSpec((3, 2)), seed=0),
+                  tmp_path / "m.json", classes=[0, 1])
+    return tmp_path
+
+
+CORE_MODULES = ["memtact", "memtact.cli", "memtact.data", "memtact.device"]
+
+
+@pytest.mark.parametrize("argv, modules", [
+    (["gen-data", "--labels", "5", "--per-label", "1", "--out", "g2.jsonl"],
+     ["memtact.gesturegen", "memtact.tactile"]),
+    (["extract-features", "--data", "g.jsonl", "--out", "f.csv"],
+     ["memtact.tactile"]),
+    (["fit-device", "--traces", "t1.csv", "t2.csv", "--scheme", "1,20,20,40",
+      "--out", "fit.json"], []),
+    (["program", "--model", "m.json", "--out", "p.json"],
+     ["memtact.crossbar", "memtact.nn"]),
+], ids=["gen-data", "extract-features", "fit-device", "program"])
+def test_each_command_loads_only_its_modules(command_inputs, argv, modules):
+    """A command imports the modules it runs and no others. sys.modules is
+    per process, so each command runs in a fresh interpreter."""
+    src = Path(memtact.__file__).resolve().parent.parent
+    code = ("import json, sys\nfrom memtact.cli import main\n"
+            "assert main(sys.argv[1:]) == 0\n"
+            "print(json.dumps(sorted(m for m in sys.modules\n"
+            "                        if m.split('.')[0] == 'memtact')))")
+    out = subprocess.run([sys.executable, "-c", code, *argv],
+                         cwd=command_inputs, check=True, capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=str(src))
+                         ).stdout
+    assert json.loads(out) == sorted(CORE_MODULES + modules)
+
+
 def test_full_pipeline_train_program_infer(tmp_path, small_features, capsys):
     model = tmp_path / "model.json"
     history = tmp_path / "history.csv"
@@ -376,6 +421,17 @@ def features_text(*rows) -> str:
     (["gen-data", "--noise", "nan", "--out", "OUT"], None, "noise_std"),
     (["gen-data", "--noise", "inf", "--out", "OUT"], None, "noise_std"),
     (["infer", "--model", "BAD", "--features", "FEATURES"], None, "BAD"),
+    (["program", "--model", "BAD", "--out", "OUT"],
+     json.dumps({**MODEL, "classes": [0, 1, 2]}), "BAD"),
+    (["program", "--model", "BAD", "--out", "OUT"],
+     json.dumps({**MODEL, "classes": [0]}), "BAD"),
+    (["program", "--model", "BAD", "--out", "OUT"],
+     json.dumps({**MODEL, "classes": [1, 1]}), "BAD"),
+    (["program", "--model", "MODEL", "--dist", "BAD", "--out", "OUT"],
+     json.dumps({**DIST, "mean": [float("nan"), 0.0]}), "BAD"),
+    ([*TRAIN, "--mode", "ttv2", "--dist", "BAD"],
+     json.dumps({**DIST, "covariance": [[float("inf"), 0.0], [0.0, 0.01]]}),
+     "BAD"),
 ], ids=["infer_empty_object", "infer_list", "program_list",
         "program_dist_list", "simulate_list", "simulate_empty_record",
         "simulate_null_gamma", "simulate_nan_gamma",
@@ -392,7 +448,10 @@ def features_text(*rows) -> str:
         "config_text_fraction", "config_int_past_float_range",
         "config_not_json", "config_fit_restarts", "model_not_json",
         "gen_spec_rejected", "speed_mix_zero_denominator", "speed_mix_nan",
-        "speed_mix_text", "noise_nan", "noise_inf", "infer_missing_model"])
+        "speed_mix_text", "noise_nan", "noise_inf", "infer_missing_model",
+        "program_long_classes", "program_short_classes",
+        "program_repeated_class", "program_dist_nan_mean",
+        "train_dist_inf_covariance"])
 def test_malformed_json_payload_is_one_line_error(tmp_path, small_features,
                                                   caplog, argv, payload,
                                                   named):

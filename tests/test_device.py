@@ -438,6 +438,16 @@ def test_distribution_validation():
     with pytest.raises(ValueError):
         DeviceDistribution(mean=np.array([22.0, 0.0]),
                            covariance=np.array([[-1.0, 0.0], [0.0, 1.0]]))
+    # json.loads reads NaN and Infinity, so a population file can hold them
+    for mean, cov in (([np.nan, 0.0], np.eye(2)), ([22.0, np.inf], np.eye(2)),
+                      ([22.0, 0.0], [[np.nan, 0.0], [0.0, 1.0]]),
+                      ([22.0, 0.0], [[1.0, 0.0], [0.0, np.inf]])):
+        with pytest.raises(ValueError, match="must be finite"):
+            DeviceDistribution(mean=np.array(mean), covariance=np.array(cov))
+    for clamp in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="clamp_n_min"):
+            DeviceDistribution(mean=np.array([22.0, 0.0]),
+                               covariance=np.eye(2), clamp_n_min=clamp)
 
 
 # -- file round trips -------------------------------------------------------

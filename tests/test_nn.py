@@ -841,8 +841,10 @@ def model_cases(draw):
     biases = [values(b) for b in dims[1:]]
     scaler = FeatureScaler(mean=values(dims[0]), std=values(dims[0])) \
         if draw(st.booleans()) else None
+    # load_model takes one distinct label per output
     classes = draw(st.none() | st.lists(st.integers(-2**40, 2**40),
-                                        max_size=6))
+                                        min_size=dims[-1], max_size=dims[-1],
+                                        unique=True))
     return NetworkSpec(tuple(dims)), weights, biases, scaler, classes
 
 
