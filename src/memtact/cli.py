@@ -11,6 +11,7 @@ Commands and the readers they call raise OSError or ValueError on bad input;
 from __future__ import annotations
 
 import argparse
+import functools
 import glob as globlib
 import hashlib
 import json
@@ -21,10 +22,15 @@ from pathlib import Path
 import numpy as np
 
 from . import device
-from .data import Dataset, FeatureScaler, derive_rng, json_object, \
+from .data import Dataset, FeatureScaler, derive_rng, fan_out, json_object, \
     read_json, stratified_split_indices
 
 log = logging.getLogger("memtact")
+
+# ingest fans out over worker processes in tasks of this many gestures for
+# gen-data and of about this many bytes of whole lines for extract-features
+GEN_TASK_GESTURES = 8
+EXTRACT_TASK_BYTES = 1 << 20
 
 
 def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
@@ -98,8 +104,13 @@ def cmd_gen_data(args) -> int:
         seed=int(cfg["seed"]))
     manifest = gesturegen.dataset_manifest(spec)
     manifest["config_hash"] = _config_hash(cfg)
-    # each gesture is written as it is rendered, so memory stays flat
-    tactile.write_gestures_jsonl(gesturegen.iter_dataset(spec), args.out)
+    total, size = manifest["total"], GEN_TASK_GESTURES
+    tasks = [range(lo, min(lo + size, total)) for lo in range(0, total, size)]
+    # the workers start before the file is opened, and each task's records
+    # are written in id order as they arrive, so memory stays flat
+    with fan_out(functools.partial(gesturegen.render_jsonl, spec),
+                 tasks) as texts, open(args.out, "w") as fh:
+        fh.writelines(texts)
     manifest_path = str(args.out) + ".manifest.json"
     Path(manifest_path).write_text(json.dumps(manifest, indent=2) + "\n")
     log.info("wrote %d gestures to %s (manifest %s)", manifest["total"],
@@ -112,12 +123,16 @@ def cmd_extract(args) -> int:
     defaults = dict(window=3)
     cfg = _resolve(args, defaults)
     window = int(cfg["window"])
-    # one record at a time: each row is written as its record is featurized,
-    # and a bad record leaves no CSV (see tactile.write_feature_rows)
-    rows = ((tactile.extract_features(tactile.preprocess(g, window=window)),
-             g.label) for g in tactile.read_gestures_jsonl(args.data))
-    count = tactile.write_feature_rows(
-        rows, args.out, header_lines=[f"config_hash={_config_hash(cfg)}"])
+    tasks = tactile.line_ranges(args.data, EXTRACT_TASK_BYTES)
+    # the workers start before the CSV is opened; the rows are written in
+    # file order as their runs arrive, the first bad record in file order
+    # is the one reported, and it leaves no CSV (see write_feature_rows)
+    with fan_out(functools.partial(tactile.featurize_range, args.data,
+                                   window), tasks) as runs:
+        rows = tactile.require_records(
+            args.data, (row for run in runs for row in run))
+        count = tactile.write_feature_rows(
+            rows, args.out, header_lines=[f"config_hash={_config_hash(cfg)}"])
     log.info("wrote %d feature rows to %s", count, args.out)
     return 0
 

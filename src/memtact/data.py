@@ -1,9 +1,14 @@
 """Shared plumbing: datasets, feature scaling, splits, rng stream derivation,
-and the JSON readers that name the file a bad value came from."""
+the JSON readers that name the file a bad value came from, and the fan-out
+of independent tasks over worker processes."""
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import json
+import os
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -138,3 +143,51 @@ def json_array(path, value, what: str) -> np.ndarray:
     except (TypeError, ValueError):
         raise ValueError(f"{path}: {what} is not an array of numbers") \
             from None
+
+
+@contextlib.contextmanager
+def fan_out(fn, tasks):
+    """Give an iterator over fn(task) for each task, in task order.
+
+    The tasks run in forked worker processes, as many as the CPUs this
+    process may use but no more than there are tasks, with at most two
+    tasks per worker in flight, so memory stays flat in the number of
+    tasks. The workers start when the block is entered, so a caller that
+    opens its output inside the block forks no unflushed buffer, and they
+    are shut down and joined when it exits, on an error too. With one
+    worker, or without CPU affinity or the fork start method, fn runs here,
+    one task at a time. fn and the tasks must pickle; an error that fn
+    raises reaches the caller when its task's turn comes.
+    """
+    tasks = list(tasks)
+    cpus = len(os.sched_getaffinity(0)) \
+        if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, len(tasks))
+    if workers > 1:
+        import multiprocessing
+        if "fork" not in multiprocessing.get_all_start_methods():
+            workers = 1
+    if workers <= 1:
+        yield map(fn, tasks)
+        return
+    from concurrent.futures import ProcessPoolExecutor
+    # fork, named because Python 3.14 changes the Linux default: spawn would
+    # import numpy again in every worker. The pool forks its workers before
+    # it starts its own threads, and the CLI runs none of its own.
+    pool = ProcessPoolExecutor(workers,
+                               mp_context=multiprocessing.get_context("fork"))
+    try:
+        queued = iter(tasks)
+        pending = deque(pool.submit(fn, task)
+                        for task in itertools.islice(queued, 2 * workers))
+
+        def results():
+            while pending:
+                result = pending.popleft().result()
+                pending.extend(pool.submit(fn, task)
+                               for task in itertools.islice(queued, 1))
+                yield result
+
+        yield results()
+    finally:
+        pool.shutdown(cancel_futures=True)

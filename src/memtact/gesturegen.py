@@ -15,7 +15,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .data import derive_rng
-from .tactile import GRID, SPEEDS, GestureSeries
+from .tactile import GRID, SPEEDS, GestureSeries, encode_gesture
 
 SPEED_BANDS = {"fast": (20, 40), "regular": (40, 60), "slow": (60, 90)}
 DEFAULT_NOISE_STD = 0.02
@@ -212,18 +212,28 @@ def _jobs(spec: GenSpec) -> list[tuple[int, int, str]]:
             for k, s in enumerate(speeds)]
 
 
-def iter_dataset(spec: GenSpec) -> Iterator[GestureSeries]:
+def iter_dataset(spec: GenSpec, ids: range | None = None
+                 ) -> Iterator[GestureSeries]:
     """Render the recipe's gestures one at a time, in id order.
 
     For the 5-class set each coarse class draws evenly from its two source
     templates. Every gesture gets its own rng stream derived from
-    (seed, gesture index), so generation order never matters.
+    (seed, gesture index), so generation order never matters, and a range
+    of ids renders those gestures alone, as the full run would.
     """
-    for gid, (template, final_label, speed) in enumerate(_jobs(spec)):
+    jobs = _jobs(spec)
+    for gid in range(len(jobs)) if ids is None else ids:
+        template, final_label, speed = jobs[gid]
         rng = derive_rng(spec.seed, gid)
         g = generate_gesture(template, speed, rng, noise_std=spec.noise_std)
         g.label = final_label
         yield g
+
+
+def render_jsonl(spec: GenSpec, ids: range) -> str:
+    """The gesture file's records for a range of gesture ids."""
+    return "".join(encode_gesture(gid, g)
+                   for gid, g in zip(ids, iter_dataset(spec, ids)))
 
 
 def dataset_manifest(spec: GenSpec) -> dict:

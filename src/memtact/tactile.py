@@ -16,6 +16,7 @@ accumulation instead of pairwise, which breaks the symmetry.
 from __future__ import annotations
 
 import functools
+import io
 import json
 import os
 from collections.abc import Iterator
@@ -247,15 +248,32 @@ def extract_features(series: GestureSeries) -> np.ndarray:
 
 @functools.cache
 def _pressure_tokens() -> np.ndarray:
-    """repr(k / 1e5) for k = 0..100000: each 5-place value in [0, 1]."""
-    return np.fromiter((repr(k / 1e5).encode() for k in range(100001)),
-                       dtype="S7", count=100001)
+    """repr(k / 1e5) for k = 0..100000: each 5-place value in [0, 1].
+
+    Built from digits: "0." and k's five digits without their trailing
+    zeros, except that repr writes 0, 1 and k = 1..9 (1e-05 .. 9e-05)
+    differently.
+    """
+    chars = np.zeros((100001, 7), dtype=np.uint8)
+    chars[:, :2] = np.frombuffer(b"0.", dtype=np.uint8)
+    # rows k = 0..99999, where digit j steps every 10 ** (4 - j) rows
+    digits = chars[:-1, 2:]
+    ascii_digits = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    for j in range(5):
+        digits[:, j] = np.tile(np.repeat(ascii_digits, 10 ** (4 - j)), 10 ** j)
+    # trailing zeros become NULs, which end an S7 entry
+    trailing = np.ones(len(digits), dtype=bool)
+    for j in range(4, -1, -1):
+        trailing &= digits[:, j] == ord("0")
+        digits[trailing, j] = 0
+    tokens = chars.view("S7").ravel()
+    tokens[0], tokens[-1] = b"0.0", b"1.0"
+    tokens[1:10] = [b"%de-05" % k for k in range(1, 10)]
+    return tokens
 
 
-def write_gestures_jsonl(gestures, path) -> None:
-    """One JSON record per gesture: {id, label, speed, frames}.
-
-    gestures may be any iterable; each record is written as it arrives.
+def encode_gesture(gid: int, g: GestureSeries) -> str:
+    """One JSON record {id, label, speed, frames} and its newline.
 
     The text is json.dumps's of the frames rounded to 5 places. np.round is
     rint(x * 1e5) / 1e5, so a rounded value in [0, 1] is row k of the token
@@ -263,24 +281,72 @@ def write_gestures_jsonl(gestures, path) -> None:
     the separator after it fill one row of a NUL-padded record array, whose
     bytes without the NULs are the frames' text.
     """
+    k = np.rint(g.frames.reshape(-1, GRID * GRID) * 1e5)
+    lane = ~(k <= 1e5) | np.signbit(k)
+    tokens = _pressure_tokens()[np.where(lane, 0, k).astype(np.intp)]
+    if lane.any():
+        extra = [json.dumps(v) for v in (k[lane] / 1e5).tolist()]
+        tokens = tokens.astype(f"S{max(7, *map(len, extra))}")
+        tokens[lane] = extra
+    rec = np.empty(k.shape, dtype=[("v", tokens.dtype), ("s", "S5")])
+    rec["v"], rec["s"] = tokens, b","
+    rec["s"][:, GRID - 1::GRID] = b"],["
+    rec["s"][:, -1] = b"]],[["
+    rec["s"][-1, -1] = b"]]]"
+    head = json.dumps({"id": gid, "label": g.label, "speed": g.speed},
+                      separators=(",", ":"))
+    body = rec.tobytes().translate(None, b"\0").decode()
+    return f'{head[:-1]},"frames":[[[{body}}}\n'
+
+
+def write_gestures_jsonl(gestures, path) -> None:
+    """One record per gesture (see encode_gesture), its index as its id.
+
+    gestures may be any iterable; each record is written as it arrives.
+    """
     with open(path, "w") as fh:
         for i, g in enumerate(gestures):
-            k = np.rint(g.frames.reshape(-1, GRID * GRID) * 1e5)
-            lane = ~(k <= 1e5) | np.signbit(k)
-            tokens = _pressure_tokens()[np.where(lane, 0, k).astype(np.intp)]
-            if lane.any():
-                extra = [json.dumps(v) for v in (k[lane] / 1e5).tolist()]
-                tokens = tokens.astype(f"S{max(7, *map(len, extra))}")
-                tokens[lane] = extra
-            rec = np.empty(k.shape, dtype=[("v", tokens.dtype), ("s", "S5")])
-            rec["v"], rec["s"] = tokens, b","
-            rec["s"][:, GRID - 1::GRID] = b"],["
-            rec["s"][:, -1] = b"]],[["
-            rec["s"][-1, -1] = b"]]]"
-            head = json.dumps({"id": i, "label": g.label, "speed": g.speed},
-                              separators=(",", ":"))
-            body = rec.tobytes().translate(None, b"\0").decode()
-            fh.write(f'{head[:-1]},"frames":[[[{body}}}\n')
+            fh.write(encode_gesture(i, g))
+
+
+def _parse_lines(path, lines, first: int = 1) -> Iterator[GestureSeries]:
+    """The gestures on lines of a gesture file, the first being line first;
+    a bad record raises a ValueError naming its line."""
+    for lineno, line in enumerate(lines, first):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            rec = json.loads(line)
+            if not isinstance(rec, dict):
+                raise TypeError("not a JSON object")
+            label = rec["label"]
+            # int() would truncate 3.7 to 3 and turn true into 1
+            if isinstance(label, bool) or not isinstance(label, int):
+                raise TypeError(f"label {label!r} is not an integer")
+            # and a float cast would read "0.5" and true as numbers
+            frames = np.asarray(rec["frames"])
+            if frames.dtype.kind not in "iuf":
+                raise TypeError(f"frames hold {frames.dtype} values, "
+                                f"not numbers")
+            g = GestureSeries(frames=frames, label=label, speed=rec["speed"])
+        except KeyError as e:
+            raise ValueError(
+                f"{path}, line {lineno}: missing field {e}") from None
+        except (TypeError, ValueError) as e:
+            raise ValueError(
+                f"{path}, line {lineno}: bad gesture record: {e}") from None
+        yield g
+
+
+def require_records(path, items) -> Iterator:
+    """Pass items through; once they run out, raise if there were none."""
+    empty = True
+    for item in items:
+        empty = False
+        yield item
+    if empty:
+        raise ValueError(f"{path}: no gesture records")
 
 
 def read_gestures_jsonl(path) -> Iterator[GestureSeries]:
@@ -290,33 +356,37 @@ def read_gestures_jsonl(path) -> Iterator[GestureSeries]:
     it, and a file without records raises once it is exhausted; the file is
     closed when the reader finishes or is closed.
     """
-    empty = True
     with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                if not isinstance(rec, dict):
-                    raise TypeError("not a JSON object")
-                label = rec["label"]
-                # int() would truncate 3.7 to 3 and turn true into 1
-                if isinstance(label, bool) or not isinstance(label, int):
-                    raise TypeError(f"label {label!r} is not an integer")
-                g = GestureSeries(
-                    frames=np.asarray(rec["frames"], dtype=np.float64),
-                    label=label, speed=rec["speed"])
-            except KeyError as e:
-                raise ValueError(
-                    f"{path}, line {lineno}: missing field {e}") from None
-            except (TypeError, ValueError) as e:
-                raise ValueError(
-                    f"{path}, line {lineno}: bad gesture record: {e}") from None
-            empty = False
-            yield g
-    if empty:
-        raise ValueError(f"{path}: no gesture records")
+        yield from require_records(path, _parse_lines(path, fh))
+
+
+def line_ranges(path, size: int) -> list[tuple[int, int, int]]:
+    """Split a file into runs of whole lines of about size bytes each.
+
+    Returns (offset, length, number of the first line) per run. Lines are
+    counted as text mode splits them, at LF, CR LF or a lone CR, so the
+    numbers match read_gestures_jsonl's.
+    """
+    runs = []
+    offset, lineno = 0, 1
+    with open(path, "rb") as fh:
+        while block := fh.read(size):
+            block += fh.readline()
+            runs.append((offset, len(block), lineno))
+            offset += len(block)
+            cr = block.count(b"\r")
+            lineno += block.count(b"\n") + cr - (cr and block.count(b"\r\n"))
+    return runs
+
+
+def featurize_range(path, window: int, run: tuple[int, int, int]) -> list:
+    """(features, label) of each gesture in one run of line_ranges."""
+    offset, length, first = run
+    with open(path, "rb") as fh:
+        fh.seek(offset)
+        text = io.TextIOWrapper(io.BytesIO(fh.read(length)))
+    return [(extract_features(preprocess(g, window=window)), g.label)
+            for g in _parse_lines(path, text, first)]
 
 
 def write_features_csv(features: np.ndarray, labels, path,

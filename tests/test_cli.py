@@ -1,8 +1,10 @@
 """End-to-end command line tests, run in process against temp directories."""
 
+import concurrent.futures
 import hashlib
 import json
 import logging
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -14,7 +16,7 @@ import numpy as np
 import pytest
 
 import memtact
-from memtact import device, nn, tactile
+from memtact import cli, device, nn, tactile
 from memtact.cli import main
 from memtact.data import FeatureScaler, derive_rng
 
@@ -87,6 +89,154 @@ def test_ingest_memory_is_flat_in_dataset_size(tmp_path):
     assert max(growth) < INGEST_GROWTH_BOUND, (small, large)
 
 
+# Bound fixed before the first run. Workers render and parse a few gestures
+# per task and at most two tasks per worker are in flight, so the 240 more
+# gestures of the 4N run (6.8 MB of JSONL) add nothing that stays resident.
+WORKER_GROWTH_BOUND_MB = 3.0
+
+
+@pytest.mark.skipif(sys.platform != "linux",
+                    reason="ru_maxrss is in kB on Linux only")
+def test_ingest_workers_keep_memory_flat(tmp_path):
+    """Peak RSS of gen-data and extract-features as os.wait4 reports it,
+    which counts the workers, grows by less than the bound from N to 4N
+    gestures. tracemalloc (above) sees the parent alone."""
+    src = Path(memtact.__file__).resolve().parent.parent
+    # two CPUs, so that the commands fan out on any host
+    code = ("import os, sys\nos.sched_getaffinity = lambda pid: {0, 1}\n"
+            "from memtact.cli import main\nsys.exit(main(sys.argv[1:]))")
+
+    def peak_mb(*argv):
+        proc = subprocess.Popen(
+            [sys.executable, "-c", code, *map(str, argv)], cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            stderr=subprocess.DEVNULL)
+        _, status, usage = os.wait4(proc.pid, 0)
+        # reaped here, so tell Popen, which would warn of a live child
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        assert proc.returncode == 0
+        return usage.ru_maxrss / 1024
+
+    def peaks(per_label):
+        data = f"g{per_label}.jsonl"
+        return [peak_mb("gen-data", "--labels", 5, "--per-label", per_label,
+                        "--seed", 0, "--out", data),
+                peak_mb("extract-features", "--data", data,
+                        "--out", f"f{per_label}.csv")]
+
+    small, large = peaks(16), peaks(64)
+    growth = [b - a for a, b in zip(small, large)]
+    assert max(growth) < WORKER_GROWTH_BOUND_MB, (small, large)
+
+
+# the bytes test_tactile.py::test_gen_data_file_is_pinned pins
+PINNED_GEN_DATA = \
+    "9d210547c4c99e9418aa3b378ba205f57bc7ab39a2e8e1381862c2ea55f9c4b3"
+
+
+def ingest(out_dir):
+    """gen-data of 5 x 4 gestures at seed 3, then extract-features; the
+    bytes of both files."""
+    out_dir.mkdir()
+    data, feats = out_dir / "g.jsonl", out_dir / "f.csv"
+    assert run("gen-data", "--labels", 5, "--per-label", 4, "--seed", 3,
+               "--out", data) == 0
+    assert run("extract-features", "--data", data, "--out", feats) == 0
+    return data.read_bytes(), feats.read_bytes()
+
+
+def task_sizes(monkeypatch, gestures, size):
+    monkeypatch.setattr(cli, "GEN_TASK_GESTURES", gestures)
+    monkeypatch.setattr(cli, "EXTRACT_TASK_BYTES", size)
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Two CPUs on any host, and the worker count of every pool started."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    started = []
+    executor = concurrent.futures.ProcessPoolExecutor
+
+    def spy(workers, **kwargs):
+        started.append(workers)
+        return executor(workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spy)
+    return started
+
+
+def test_fanned_out_ingest_writes_the_one_task_bytes(tmp_path, monkeypatch,
+                                                     pools):
+    task_sizes(monkeypatch, 10**9, 1 << 24)
+    one_task = ingest(tmp_path / "one")
+    assert pools == []
+    # 7 tasks of at most 3 gestures, and one task per line of the file
+    task_sizes(monkeypatch, 3, 1)
+    fanned = ingest(tmp_path / "fanned")
+    assert pools == [2, 2]
+    assert fanned == one_task
+    assert hashlib.sha256(fanned[0]).hexdigest() == PINNED_GEN_DATA
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("bad_lines", [[11], [3, 11]],
+                         ids=["last_task", "two_tasks"])
+def test_fanned_out_bad_record_is_reported_as_in_one_task(
+        tmp_path, monkeypatch, pools, bad_lines):
+    """The first bad record in file order is named, with its absolute line
+    number, however the file is split; no CSV, temporary file or worker is
+    left behind."""
+    data = tmp_path / "bad.jsonl"
+    assert run("gen-data", "--labels", 5, "--per-label", 2, "--seed", 0,
+               "--out", data) == 0
+    lines = data.read_text().splitlines(keepends=True)
+    lines.append('{"id": 10, "label": 5,\n')
+    for lineno in bad_lines[:-1]:
+        lines[lineno - 1] = lines[lineno - 1].replace('"speed"', '"pace"')
+    data.write_text("".join(lines))
+
+    messages, gen_pools = [], len(pools)
+    for size in (1 << 24, 1):
+        task_sizes(monkeypatch, 8, size)
+        with pytest.raises(SystemExit) as exc:
+            run("extract-features", "--data", data, "--out", tmp_path / "f.csv")
+        messages.append(str(exc.value))
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["bad.jsonl", "bad.jsonl.manifest.json"]
+        assert multiprocessing.active_children() == []
+    # the one-task run started no pool, the split one a pool of two
+    assert pools[gen_pools:] == [2]
+    assert messages[0] == messages[1]
+    assert messages[0].startswith(f"error: {data}, line {bad_lines[0]}: ")
+    assert "\n" not in messages[0]
+
+
+@pytest.mark.parametrize("fallback", ["one_cpu", "no_affinity", "no_fork"])
+def test_ingest_without_workers_runs_in_process(tmp_path, monkeypatch,
+                                                fallback):
+    """One CPU, no CPU affinity or no fork start method: the tasks run here,
+    and no worker starts."""
+    if fallback == "one_cpu":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+    elif fallback == "no_affinity":
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                            lambda: ["spawn"])
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    task_sizes(monkeypatch, 3, 1)
+    gestures, _ = ingest(tmp_path / "out")
+    assert hashlib.sha256(gestures).hexdigest() == PINNED_GEN_DATA
+
+
 def test_extract_rejects_empty_dataset(tmp_path):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("\n")
@@ -103,7 +253,10 @@ GOOD_RECORD = json.dumps({"id": 0, "label": 1, "speed": "regular",
     "[1,2,3]",
     '{"id": 1, "label": null, "speed": "regular", "frames": [[[0]]]}',
     '{"id": 1, "label": 1, "speed": "regular", "frames": {"a": 1}}',
-], ids=["list_record", "null_label", "dict_frames"])
+    GOOD_RECORD.replace("[0.0,", '["0.5",', 1),
+    GOOD_RECORD.replace("0.0", "true"),
+], ids=["list_record", "null_label", "dict_frames", "string_pressure",
+        "bool_frames"])
 def test_extract_rejects_malformed_record(tmp_path, record):
     data = tmp_path / "bad.jsonl"
     data.write_text(GOOD_RECORD + "\n" + record + "\n")

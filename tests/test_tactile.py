@@ -4,6 +4,7 @@ import gc
 import hashlib
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -18,10 +19,13 @@ from memtact.tactile import (
     FEATURE_NAMES,
     SPEEDS,
     GestureSeries,
+    _pressure_tokens,
     _resample_curve,
     centroid_trajectory,
     contact_area,
     extract_features,
+    featurize_range,
+    line_ranges,
     peak_count,
     preprocess,
     read_features_csv,
@@ -438,6 +442,12 @@ def test_gestures_jsonl_matches_json_dumps(tmp_path_factory, gestures):
     assert path.read_text().splitlines() == expected
 
 
+def test_pressure_token_table_is_repr():
+    """Row k of the writer's token table is repr(k / 1e5), for every k."""
+    assert _pressure_tokens().tolist() == [repr(k / 1e5).encode()
+                                           for k in range(100001)]
+
+
 def test_gen_data_file_is_pinned(tmp_path):
     """gen-data writes these exact bytes, hashed from the output of the
     json.dumps writer that the token table replaced."""
@@ -466,6 +476,42 @@ def test_reader_stopped_early_closes_its_file(tmp_path):
         gc.collect()
     assert first.label == 1
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+@pytest.mark.parametrize("size", [1, 50, 700, 1 << 20])
+def test_line_ranges_split_as_the_reader_reads(tmp_path, size):
+    """Runs of whole lines cover the file; featurized one run at a time they
+    give the reader's records, and a bad record the reader's message, with
+    lines ended by LF, CR LF or a lone CR and blank lines among them."""
+    rng = derive_rng(27, 0)
+    path = tmp_path / "g.jsonl"
+    write_gestures_jsonl([random_series(rng, n=2) for _ in range(4)], path)
+    records = path.read_text().splitlines()
+    path.write_bytes("\r\n".join(records[:2]).encode() + b"\r\r\n"
+                     + records[2].encode() + b"\r" + records[3].encode()
+                     + b"\n\n")
+
+    def split(path):
+        runs = line_ranges(path, size)
+        assert [r[0] for r in runs] == \
+            np.cumsum([0] + [r[1] for r in runs[:-1]]).tolist()
+        assert sum(r[1] for r in runs) == path.stat().st_size
+        return [row for run in runs for row in featurize_range(path, 3, run)]
+
+    gestures = list(read_gestures_jsonl(path))
+    rows = split(path)
+    assert len(rows) == len(gestures) == 4
+    for (row, label), g in zip(rows, gestures):
+        assert np.array_equal(row, extract_features(preprocess(g)))
+        assert label == g.label
+
+    with open(path, "ab") as fh:
+        fh.write(b'{"id": 4, "label": 1,\n')
+    with pytest.raises(ValueError) as exc:
+        list(read_gestures_jsonl(path))
+    assert str(exc.value).startswith(f"{path}, line 7: bad gesture record")
+    with pytest.raises(ValueError, match=re.escape(str(exc.value))):
+        split(path)
 
 
 def test_features_csv_roundtrip(tmp_path):
