@@ -23,7 +23,7 @@ import numpy as np
 
 from . import device
 from .data import Dataset, FeatureScaler, derive_rng, fan_out, json_object, \
-    read_json, stratified_split_indices
+    named, read_json, stratified_split_indices
 
 log = logging.getLogger("memtact")
 
@@ -32,11 +32,32 @@ log = logging.getLogger("memtact")
 GEN_TASK_GESTURES = 8
 EXTRACT_TASK_BYTES = 1 << 20
 
+# Each subcommand's settings and their defaults. A setting is a config-file
+# key and a flag of its default's type, or float where the default is None
+# (a number chosen later): per_label is --per-label. gen-data's noise is
+# gesturegen.DEFAULT_NOISE_STD, written out because only cmd_gen_data may
+# import gesturegen; a test pins the two equal.
+SETTINGS = {
+    "gen-data": dict(labels=10, per_label=306, speed_mix="1/3,1/3,1/3",
+                     noise=0.02, seed=0),
+    "extract-features": dict(window=3),
+    "simulate-trace": dict(scheme="10,200,200,1000", w0=0.0, seed=0,
+                           index=0),
+    "fit-device": dict(scheme="10,200,200,1000"),
+    "train": dict(mode="fp_sgd", hidden=0, lr=None, fast_lr=0.5,
+                  transfer_every=5, epochs=100, seed=0, test_fraction=0.25),
+    "program": dict(epsilon=0.02, max_iter=200, seed=0),
+    "infer": {},
+}
 
-def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
-    """Merge defaults, config-file values, and explicit flags, in that order."""
+
+def _resolve(args: argparse.Namespace) -> dict:
+    """The command's settings: defaults, then config-file values, then flags.
+    A value has its default's type, or is a finite number where that is a
+    float or None."""
+    defaults = SETTINGS[args.command]
     cfg = dict(defaults)
-    path = getattr(args, "config", None)
+    path = args.config
     if path:
         file_cfg = json_object(path, read_json(path), (), "config")
         unknown = set(file_cfg) - set(defaults)
@@ -57,14 +78,14 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
                 raise ValueError(f"{path}: config value {key} is not {want}")
         cfg.update(file_cfg)
     for key in defaults:
-        val = getattr(args, key, None)
+        val = getattr(args, key)
         if val is not None:
             cfg[key] = val
     return cfg
 
 
 def _config_hash(cfg: dict) -> str:
-    canon = json.dumps(cfg, sort_keys=True, default=str)
+    canon = json.dumps(cfg, sort_keys=True)
     return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
 
@@ -87,21 +108,18 @@ def _encode_labels(y: np.ndarray) -> tuple[np.ndarray, list]:
 
 def cmd_gen_data(args) -> int:
     from . import gesturegen, tactile
-    defaults = dict(labels=10, per_label=306, speed_mix="1/3,1/3,1/3",
-                    noise=gesturegen.DEFAULT_NOISE_STD, seed=0)
-    cfg = _resolve(args, defaults)
+    cfg = _resolve(args)
     mix = []
-    for part in str(cfg["speed_mix"]).split(","):
-        num, _, den = part.partition("/")
+    for part in cfg["speed_mix"].split(","):
+        num, slash, den = part.partition("/")
         try:
-            mix.append(float(num) / float(den) if den else float(num))
+            mix.append(float(num) / float(den) if slash else float(num))
         except (ValueError, ZeroDivisionError):
             raise ValueError(f"speed_mix {part!r} is not a number or a "
                              f"fraction") from None
     spec = gesturegen.GenSpec(
-        samples_per_label=int(cfg["per_label"]), label_set=int(cfg["labels"]),
-        speed_mix=tuple(mix), noise_std=float(cfg["noise"]),
-        seed=int(cfg["seed"]))
+        samples_per_label=cfg["per_label"], label_set=cfg["labels"],
+        speed_mix=tuple(mix), noise_std=float(cfg["noise"]), seed=cfg["seed"])
     manifest = gesturegen.dataset_manifest(spec)
     manifest["config_hash"] = _config_hash(cfg)
     total, size = manifest["total"], GEN_TASK_GESTURES
@@ -120,15 +138,13 @@ def cmd_gen_data(args) -> int:
 
 def cmd_extract(args) -> int:
     from . import tactile
-    defaults = dict(window=3)
-    cfg = _resolve(args, defaults)
-    window = int(cfg["window"])
+    cfg = _resolve(args)
     tasks = tactile.line_ranges(args.data, EXTRACT_TASK_BYTES)
     # the workers start before the CSV is opened; the rows are written in
     # file order as their runs arrive, the first bad record in file order
     # is the one reported, and it leaves no CSV (see write_feature_rows)
     with fan_out(functools.partial(tactile.featurize_range, args.data,
-                                   window), tasks) as runs:
+                                   cfg["window"]), tasks) as runs:
         rows = tactile.require_records(
             args.data, (row for run in runs for row in run))
         count = tactile.write_feature_rows(
@@ -138,19 +154,18 @@ def cmd_extract(args) -> int:
 
 
 def cmd_simulate_trace(args) -> int:
-    defaults = dict(scheme="10,200,200,1000", w0=0.0, seed=0, index=0)
-    cfg = _resolve(args, defaults)
+    cfg = _resolve(args)
     params = device.read_device_params(args.params)
     records = params if isinstance(params, list) else [params]
-    index = int(cfg["index"])
+    index = cfg["index"]
     if not 0 <= index < len(records):
         raise ValueError(f"params index {index} out of range for "
                          f"{len(records)} record"
                          f"{'s' if len(records) != 1 else ''}")
     params = records[index]
-    scheme = _parse_scheme(str(cfg["scheme"]))
+    scheme = _parse_scheme(cfg["scheme"])
     trace = device.simulate_trace(params, scheme, float(cfg["w0"]),
-                                  derive_rng(int(cfg["seed"]), 0))
+                                  derive_rng(cfg["seed"], 0))
     device.write_trace_csv(trace, args.out,
                            header_lines=[f"config_hash={_config_hash(cfg)}"])
     log.info("wrote %d trace samples to %s", len(trace), args.out)
@@ -158,8 +173,7 @@ def cmd_simulate_trace(args) -> int:
 
 
 def cmd_fit_device(args) -> int:
-    defaults = dict(scheme="10,200,200,1000")
-    cfg = _resolve(args, defaults)
+    cfg = _resolve(args)
     paths = []
     for pattern in args.traces:
         hits = sorted(globlib.glob(pattern))
@@ -168,14 +182,12 @@ def cmd_fit_device(args) -> int:
         raise ValueError("no trace files given")
     if args.dist_out and len(paths) < 2:
         raise ValueError("need at least 2 traces to build a distribution")
-    scheme = _parse_scheme(str(cfg["scheme"]))
+    scheme = _parse_scheme(cfg["scheme"])
     fitted = []
     for path in paths:
         trace = device.read_trace_csv(path)
-        try:
+        with named(path):
             params, report = device.fit_softbounds(trace, scheme)
-        except ValueError as e:
-            raise ValueError(f"{path}: {e}") from None
         log.info("fit %s: residual %.3g, %d evals, sigma_c2c %.3g", path,
                  report.mad, report.evaluations, params.sigma_c2c)
         fitted.append(params)
@@ -202,27 +214,25 @@ def _split_features(x, y, test_fraction, seed):
 
 def cmd_train(args) -> int:
     from . import nn, tactile
-    defaults = dict(mode="fp_sgd", hidden=0, lr=None, fast_lr=0.5,
-                    transfer_every=5, epochs=100, seed=0, test_fraction=0.25)
-    cfg = _resolve(args, defaults)
-    hidden = int(cfg["hidden"])
+    cfg = _resolve(args)
+    hidden = cfg["hidden"]
     if hidden < 0:
         raise ValueError(f"hidden must be non-negative, got {hidden}")
     x, y = tactile.read_features_csv(args.features)
     train, test, scaler, classes = _split_features(
-        x, y, float(cfg["test_fraction"]), int(cfg["seed"]))
+        x, y, float(cfg["test_fraction"]), cfg["seed"])
     spec = nn.NetworkSpec((x.shape[1], *([hidden] if hidden else []),
                            len(classes)))
-    mode = str(cfg["mode"])
+    mode = cfg["mode"]
     if cfg["lr"] is None:
         cfg["lr"] = 0.05 if mode == "fp_sgd" else 0.1
-    lr = float(cfg["lr"])
-    tcfg = nn.TrainConfig(mode=mode, lr=lr, fast_lr=float(cfg["fast_lr"]),
-                          transfer_every=int(cfg["transfer_every"]),
-                          epochs=int(cfg["epochs"]), seed=int(cfg["seed"]))
+    tcfg = nn.TrainConfig(mode=mode, lr=float(cfg["lr"]),
+                          fast_lr=float(cfg["fast_lr"]),
+                          transfer_every=cfg["transfer_every"],
+                          epochs=cfg["epochs"], seed=cfg["seed"])
     chash = _config_hash(cfg)
     if mode == "fp_sgd":
-        net = nn.Network(spec, seed=int(cfg["seed"]))
+        net = nn.Network(spec, seed=cfg["seed"])
         history = nn.train_sgd_fp(net, train, tcfg, test)
         model = net
     else:
@@ -248,13 +258,12 @@ def _load_distribution(path) -> device.DeviceDistribution:
 
 def cmd_program(args) -> int:
     from . import crossbar, nn
-    defaults = dict(epsilon=0.02, max_iter=200, seed=0)
-    cfg = _resolve(args, defaults)
+    cfg = _resolve(args)
     net, scaler, classes = nn.load_model(args.model)
     dist = _load_distribution(getattr(args, "dist", None))
     analog, reports = nn.program_network(
-        net, dist, seed=int(cfg["seed"]), epsilon=float(cfg["epsilon"]),
-        max_iter=int(cfg["max_iter"]))
+        net, dist, seed=cfg["seed"], epsilon=float(cfg["epsilon"]),
+        max_iter=cfg["max_iter"])
     chash = _config_hash(cfg)
     nn.save_model(analog, args.out, scaler=scaler, classes=classes,
                   extra={"config_hash": chash, "mode": "programmed"})
@@ -292,8 +301,7 @@ def _model_accuracy(model_path, features_path, x, y) -> float:
 
 def cmd_infer(args) -> int:
     from . import tactile
-    defaults = dict(seed=0)
-    cfg = _resolve(args, defaults)
+    cfg = _resolve(args)
     x, y = tactile.read_features_csv(args.features)
     acc = _model_accuracy(args.model, args.features, x, y)
     report = {"model": str(args.model), "accuracy": acc, "samples": len(y),
@@ -322,54 +330,44 @@ def build_parser() -> argparse.ArgumentParser:
                         help="debug logging")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_text):
-        p = sub.add_parser(name, help=help_text)
+    def add(name, fn, help_text, notes=""):
+        description = f"{help_text[0].upper()}{help_text[1:]}.{notes}"
+        p = sub.add_parser(name, help=help_text, description=description)
         p.add_argument("--config", help="JSON config file")
+        for key, default in SETTINGS[name].items():
+            p.add_argument("--" + key.replace("_", "-"),
+                           type=float if default is None else type(default))
         p.set_defaults(fn=fn)
         return p
 
-    p = add("gen-data", cmd_gen_data, "render a synthetic gesture dataset")
-    p.add_argument("--labels", type=int, choices=(5, 10))
-    p.add_argument("--per-label", dest="per_label", type=int)
-    p.add_argument("--speed-mix", dest="speed_mix")
-    p.add_argument("--noise", type=float)
-    p.add_argument("--seed", type=int)
+    scheme = " --scheme is batches,up,down,alternating."
+    p = add("gen-data", cmd_gen_data, "render a synthetic gesture dataset",
+            " --labels is 5 or 10.")
     p.add_argument("--out", required=True, help="output JSONL path")
 
     p = add("extract-features", cmd_extract,
             "turn gesture series into feature rows")
     p.add_argument("--data", required=True, help="gesture JSONL path")
-    p.add_argument("--window", type=int)
     p.add_argument("--out", required=True, help="output CSV path")
 
     p = add("simulate-trace", cmd_simulate_trace,
-            "simulate a characterization pulse train")
+            "simulate a characterization pulse train", " --index picks the "
+            "record when the params file holds a list." + scheme)
     p.add_argument("--params", required=True, help="device params JSON")
-    p.add_argument("--index", type=int, help="record index when params is a list")
-    p.add_argument("--scheme", help="batches,up,down,alternating")
-    p.add_argument("--w0", type=float)
-    p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True, help="output CSV path")
 
     p = add("fit-device", cmd_fit_device,
-            "fit soft-bounds parameters from traces")
+            "fit soft-bounds parameters from traces", scheme)
     p.add_argument("--traces", nargs="+", required=True,
                    help="trace CSV paths or globs")
-    p.add_argument("--scheme", help="batches,up,down,alternating")
     p.add_argument("--out", required=True, help="fitted params JSON path")
     p.add_argument("--dist-out", dest="dist_out",
                    help="optional distribution JSON path")
 
-    p = add("train", cmd_train, "train a classifier on feature rows")
+    p = add("train", cmd_train, "train a classifier on feature rows",
+            " --mode is fp_sgd or ttv2; --hidden is the hidden width, 0 for "
+            "none.")
     p.add_argument("--features", required=True, help="feature CSV path")
-    p.add_argument("--mode", choices=("fp_sgd", "ttv2"))
-    p.add_argument("--hidden", type=int, help="hidden width, 0 for none")
-    p.add_argument("--lr", type=float)
-    p.add_argument("--fast-lr", dest="fast_lr", type=float)
-    p.add_argument("--transfer-every", dest="transfer_every", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--test-fraction", dest="test_fraction", type=float)
     p.add_argument("--dist", help="device distribution JSON (ttv2 mode)")
     p.add_argument("--model-out", dest="model_out", required=True)
     p.add_argument("--history-out", dest="history_out")
@@ -378,9 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
             "write a trained model onto analog tiles")
     p.add_argument("--model", required=True, help="digital model JSON")
     p.add_argument("--dist", help="device distribution JSON")
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--max-iter", dest="max_iter", type=int)
-    p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True, help="programmed model JSON")
     p.add_argument("--report-out", dest="report_out",
                    help="per-device programming CSV")
@@ -392,7 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", required=True, help="feature CSV path")
     p.add_argument("--baseline", help="baseline model JSON for gap reporting")
     p.add_argument("--out", help="accuracy report JSON path")
-    p.add_argument("--seed", type=int)
 
     return parser
 

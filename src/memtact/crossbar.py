@@ -8,12 +8,12 @@ closed-loop program-and-verify routine.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .data import write_csv
 from .device import (
     DEFAULT_SIGMA_C2C,
     DeviceDistribution,
@@ -453,19 +453,11 @@ def write_program_report_csv(reports, path, header_lines=()) -> None:
     Rows run over layers, then row-major over each tile's devices, with the
     layer index in the first column.
     """
-    with open(path, "w", newline="") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["layer", "row", "col", "target", "achieved",
-                         "iterations", "converged"])
-        for l, report in enumerate(reports):
-            rows, cols = report.targets.shape
-            for i in range(rows):
-                for j in range(cols):
-                    writer.writerow([
-                        l, i, j, repr(float(report.targets[i, j])),
-                        repr(float(report.achieved[i, j])),
-                        int(report.iterations[i, j]),
-                        int(report.converged[i, j]),
-                    ])
+    write_csv(path, header_lines, ["layer", "row", "col", "target",
+                                   "achieved", "iterations", "converged"],
+              ([str(l), str(i), str(j), repr(float(r.targets[i, j])),
+                repr(float(r.achieved[i, j])), str(int(r.iterations[i, j])),
+                str(int(r.converged[i, j]))]
+               for l, r in enumerate(reports)
+               for i in range(r.targets.shape[0])
+               for j in range(r.targets.shape[1])))

@@ -1,6 +1,6 @@
 """Shared plumbing: datasets, feature scaling, splits, rng stream derivation,
-the JSON readers that name the file a bad value came from, and the fan-out
-of independent tasks over worker processes."""
+the JSON readers and the CSV codec, which name the file a bad value came
+from, and the fan-out of independent tasks over worker processes."""
 
 from __future__ import annotations
 
@@ -18,9 +18,12 @@ import numpy as np
 def derive_rng(seed: int, *stream: int) -> np.random.Generator:
     """Return a generator for the stream identified by (seed, *stream).
 
-    Distinct stream ids give statistically independent, reproducible streams,
-    so independent consumers (tiles, shuffling, noise injection) never share
-    draws.
+    Distinct keys give statistically independent, reproducible streams. Two
+    consumers share draws when their keys are equal, and keys collide:
+    trailing zeros are ignored, so derive_rng(s) is derive_rng(s, 0), and
+    gesture ids run through the small integers that key the split (7), the
+    TTv2 update (3) and the tile streams (10 and up). ROADMAP item 11
+    ("Disjoint, named random streams") would give each consumer its own key.
     """
     if int(seed) < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
@@ -110,12 +113,19 @@ def stratified_split_indices(labels, test_fraction: float, rng: np.random.Genera
     return train, test
 
 
+@contextlib.contextmanager
+def named(where):
+    """Put `where: ` in front of a ValueError raised in the block."""
+    try:
+        yield
+    except ValueError as e:
+        raise ValueError(f"{where}: {e}") from None
+
+
 def read_json(path):
     """The JSON value in a file; a ValueError for bad text names the file."""
-    try:
+    with named(path):
         return json.loads(Path(path).read_text())
-    except ValueError as e:
-        raise ValueError(f"{path}: {e}") from None
 
 
 def json_object(path, payload, keys, what: str) -> dict:
@@ -143,6 +153,44 @@ def json_array(path, value, what: str) -> np.ndarray:
     except (TypeError, ValueError):
         raise ValueError(f"{path}: {what} is not an array of numbers") \
             from None
+
+
+def write_csv(path, header_lines, columns, rows, end="\r\n") -> int:
+    """Write a `# ` line per header line, the column names, then each row of
+    field strings joined by commas, each ended by end; return the row count.
+    No field is quoted: each is a number or a fixed column name."""
+    count = 0
+    with open(path, "w", newline="") as fh:
+        fh.writelines(f"# {line}\n" for line in header_lines)
+        fh.write(",".join(columns) + end)
+        for fields in rows:
+            fh.write(",".join(fields) + end)
+            count += 1
+    return count
+
+
+def read_csv(path, kind: str, columns: list, parse, *,
+             more_columns: bool = False) -> list:
+    """parse(fields) of each row of a CSV file, skipping blank and `#` lines.
+    The first other line must name the columns, and others after them only
+    if more_columns, else `<path>: not a <kind> file`; a ValueError from
+    parse gets `<path>, line N: ` in front."""
+    with open(path) as fh:
+        lines = enumerate(fh, 1)
+        header = next((line for _, line in lines
+                       if line.strip()[:1] not in ("", "#")), "")
+        names = header.strip().split(",")
+        if (names[:len(columns)] if more_columns else names) != columns:
+            raise ValueError(f"{path}: not a {kind} file")
+        rows = []
+        for lineno, line in lines:
+            line = line.strip()
+            if line and line[0] != "#":
+                try:
+                    rows.append(parse(line.split(",")))
+                except ValueError as e:
+                    raise ValueError(f"{path}, line {lineno}: {e}") from None
+    return rows
 
 
 @contextlib.contextmanager

@@ -14,7 +14,6 @@ device-to-device population sampling.
 
 from __future__ import annotations
 
-import csv
 import functools
 import json
 import math
@@ -23,7 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import json_array, json_float, json_object, read_json
+from .data import json_array, json_float, json_object, named, read_csv, \
+    read_json, write_csv
 
 DEFAULT_B_MIN = -1.0
 DEFAULT_B_MAX = 1.0
@@ -494,37 +494,32 @@ def sample_stats_grid(dist: DeviceDistribution, count: int,
 # file formats
 
 
+TRACE_COLUMNS = ["pulse_index", "conductance"]
+
+
 def write_trace_csv(trace: Trace, path, header_lines=()) -> None:
-    with open(path, "w", newline="") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["pulse_index", "conductance"])
-        for i, v in enumerate(trace.samples):
-            writer.writerow([i, repr(float(v))])
+    samples = trace.samples.tolist()
+    write_csv(path, header_lines, TRACE_COLUMNS,
+              ([str(i), repr(v)] for i, v in enumerate(samples)))
+
+
+def _conductance(fields) -> float:
+    if len(fields) < 2:
+        raise ValueError("no conductance value")
+    try:
+        return float(fields[1])
+    except ValueError:
+        raise ValueError(f"conductance {fields[1]!r} is not a number") \
+            from None
 
 
 def read_trace_csv(path) -> Trace:
-    """Read a trace; every ValueError names the file, a bad row its line."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        rows = [(reader.line_num, r) for r in reader
-                if r and not r[0].startswith("#")]
-    if not rows or rows[0][1][:2] != ["pulse_index", "conductance"]:
-        raise ValueError(f"{path}: not a trace file")
-    values = []
-    for lineno, r in rows[1:]:
-        if len(r) < 2:
-            raise ValueError(f"{path}, line {lineno}: no conductance value")
-        try:
-            values.append(float(r[1]))
-        except ValueError:
-            raise ValueError(f"{path}, line {lineno}: conductance {r[1]!r} "
-                             f"is not a number") from None
-    try:
+    """Read a trace; every ValueError names the file, a bad row its line.
+    Columns past the second, as imported measurements may hold, are unread."""
+    values = read_csv(path, "trace", TRACE_COLUMNS, _conductance,
+                      more_columns=True)
+    with named(path):
         return Trace(samples=np.array(values))
-    except ValueError as e:
-        raise ValueError(f"{path}: {e}") from None
 
 
 def write_device_params(params, path) -> None:
@@ -542,10 +537,8 @@ def read_device_params(path):
     def record(d, what):
         d = json_object(path, d, keys, what)
         values = {k: json_float(path, d[k], f"{what} {k}") for k in keys}
-        try:
+        with named(f"{path}: {what}"):
             return DeviceParams(**values)
-        except ValueError as e:
-            raise ValueError(f"{path}: {what}: {e}") from None
 
     if isinstance(payload, list):
         return [record(d, f"device record {i}") for i, d in enumerate(payload)]
@@ -575,7 +568,5 @@ def read_distribution(path) -> DeviceDistribution:
                                "distribution clamp_n_min"),
         clamp_asym=json_float(path, d.get("clamp_asym", 1.0 - 1e-6),
                               "distribution clamp_asym"))
-    try:
+    with named(f"{path}: distribution"):
         return DeviceDistribution(**values)
-    except ValueError as e:
-        raise ValueError(f"{path}: distribution: {e}") from None

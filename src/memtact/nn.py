@@ -12,7 +12,6 @@ weight tile W as granularity-sized pulses. Biases stay digital throughout.
 from __future__ import annotations
 
 import copy
-import csv
 import json
 import math
 from dataclasses import dataclass, field
@@ -21,7 +20,7 @@ import numpy as np
 
 from .crossbar import AnalogTile, ProgramReport, weight_map_affine
 from .data import Dataset, FeatureScaler, derive_rng, json_array, \
-    json_object, read_json
+    json_object, named, read_csv, read_json, write_csv
 from .device import DEFAULT_SIGMA_C2C, DeviceDistribution, \
     default_distribution
 
@@ -524,10 +523,8 @@ def load_model(path):
                        ("classes", [] if classes is None else classes)):
         if not (isinstance(ints, list) and all(type(n) is int for n in ints)):
             raise ValueError(f"{path}: {what} is not a list of integers")
-    try:
+    with named(f"{path}: layer_dims {dims}"):
         spec = NetworkSpec(tuple(dims))
-    except ValueError as e:
-        raise ValueError(f"{path}: layer_dims {dims}: {e}") from None
     if classes is not None and len(classes) != dims[-1]:
         raise ValueError(f"{path}: classes holds {len(classes)} labels, not "
                          f"{dims[-1]}")
@@ -564,31 +561,22 @@ def load_model(path):
     return net, scaler, classes
 
 
+HISTORY_COLUMNS = ["epoch", "train_acc", "test_acc", "loss"]
+
+
 def write_history_csv(history: TrainHistory, path, header_lines=()) -> None:
-    with open(path, "w", newline="") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "train_acc", "test_acc", "loss"])
-        for r in history.records:
-            writer.writerow([r.epoch, repr(r.train_acc), repr(r.test_acc),
-                             repr(r.loss)])
+    write_csv(path, header_lines, HISTORY_COLUMNS,
+              ([str(r.epoch), repr(r.train_acc), repr(r.test_acc),
+                repr(r.loss)] for r in history.records))
+
+
+def _epoch_record(fields) -> EpochRecord:
+    if len(fields) != 4:
+        raise ValueError(f"{len(fields)} fields, not 4")
+    return EpochRecord(int(fields[0]), *map(float, fields[1:]))
 
 
 def read_history_csv(path) -> TrainHistory:
     """Read a history; every ValueError names the file, a bad row its line."""
-    history = TrainHistory()
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        rows = [(reader.line_num, r) for r in reader
-                if r and not r[0].startswith("#")]
-    if not rows or rows[0][1] != ["epoch", "train_acc", "test_acc", "loss"]:
-        raise ValueError(f"{path}: not a history file")
-    for lineno, r in rows[1:]:
-        try:
-            if len(r) != 4:
-                raise ValueError(f"{len(r)} fields, not 4")
-            history.append(int(r[0]), float(r[1]), float(r[2]), float(r[3]))
-        except ValueError as e:
-            raise ValueError(f"{path}, line {lineno}: {e}") from None
-    return history
+    return TrainHistory(read_csv(path, "history", HISTORY_COLUMNS,
+                                 _epoch_record))

@@ -25,6 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .data import read_csv, write_csv
+
 GRID = 9
 FEATURE_LENGTH = 38
 AREA_THRESHOLD = 0.1
@@ -408,20 +410,18 @@ def write_feature_rows(rows, path, header_lines=()) -> int:
     as it was, so a bad input leaves no partial output. Returns the number
     of rows written.
     """
+    def fields():
+        for row, lab in rows:
+            if len(row) != FEATURE_LENGTH:
+                raise ValueError(f"feature rows must hold {FEATURE_LENGTH} "
+                                 f"values")
+            values = np.asarray(row, dtype=np.float64).tolist()
+            yield [*map(repr, values), str(int(lab))]
+
     tmp = Path(f"{path}.tmp")
-    count = 0
     try:
-        with open(tmp, "w") as fh:
-            for line in header_lines:
-                fh.write(f"# {line}\n")
-            fh.write(",".join(FEATURE_NAMES + ["label"]) + "\n")
-            for row, lab in rows:
-                if len(row) != FEATURE_LENGTH:
-                    raise ValueError(f"feature rows must hold "
-                                     f"{FEATURE_LENGTH} values")
-                fh.write(",".join(repr(float(v)) for v in row)
-                         + f",{int(lab)}\n")
-                count += 1
+        count = write_csv(tmp, header_lines, FEATURE_NAMES + ["label"],
+                          fields(), "\n")
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -429,35 +429,21 @@ def write_feature_rows(rows, path, header_lines=()) -> int:
     return count
 
 
+def _feature_row(fields) -> tuple[list, int]:
+    if len(fields) != FEATURE_LENGTH + 1:
+        raise ValueError(f"{len(fields)} fields, not {FEATURE_LENGTH + 1}")
+    if not fields[-1].lstrip("-").isdecimal():
+        raise ValueError(f"label {fields[-1]!r} is not an integer")
+    return list(map(float, fields[:-1])), int(fields[-1])
+
+
 def read_features_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Feature rows, each FEATURE_LENGTH numbers and an integer label; a
     ValueError names the file, and a bad row its line."""
-    columns = FEATURE_NAMES + ["label"]
-    rows, labels = [], []
-    header = None
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if header is None:
-                header = parts
-                if header != columns:
-                    raise ValueError(f"{path}: unexpected feature header")
-                continue
-            try:
-                if len(parts) != len(columns):
-                    raise ValueError(f"{len(parts)} fields, not {len(columns)}")
-                if not parts[-1].lstrip("-").isdecimal():
-                    raise ValueError(f"label {parts[-1]!r} is not an integer")
-                rows.append([float(v) for v in parts[:-1]])
-                labels.append(int(parts[-1]))
-            except ValueError as e:
-                raise ValueError(f"{path}, line {lineno}: {e}") from None
+    rows = read_csv(path, "feature", FEATURE_NAMES + ["label"], _feature_row)
     if not rows:
         raise ValueError(f"{path}: no feature rows")
-    x = np.asarray(rows, dtype=np.float64)
+    x = np.asarray([r for r, _ in rows], dtype=np.float64)
     if not np.all(np.isfinite(x)):
         raise ValueError(f"{path}: features must be finite")
-    return x, np.asarray(labels, dtype=np.int64)
+    return x, np.asarray([lab for _, lab in rows], dtype=np.int64)

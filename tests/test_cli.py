@@ -1,13 +1,17 @@
 """End-to-end command line tests, run in process against temp directories."""
 
+import argparse
+import ast
 import concurrent.futures
 import hashlib
+import inspect
 import json
 import logging
 import multiprocessing
 import os
 import subprocess
 import sys
+import textwrap
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -567,6 +571,8 @@ def features_text(*rows) -> str:
      "speed_mix"),
     (["gen-data", "--speed-mix", "1/0,0,0", "--out", "OUT"], None,
      "speed_mix"),
+    (["gen-data", "--speed-mix", "1/,0,0", "--out", "OUT"], None,
+     "speed_mix"),
     (["gen-data", "--speed-mix", "nan,0.5,0.5", "--out", "OUT"], None,
      "speed_mix"),
     (["gen-data", "--speed-mix", "1/3,x,1/3", "--out", "OUT"], None,
@@ -585,6 +591,11 @@ def features_text(*rows) -> str:
     ([*TRAIN, "--mode", "ttv2", "--dist", "BAD"],
      json.dumps({**DIST, "covariance": [[float("inf"), 0.0], [0.0, 0.01]]}),
      "BAD"),
+    (["gen-data", "--labels", "7", "--out", "OUT"], None, "label_set"),
+    ([*TRAIN, "--mode", "sgd"], None, "mode"),
+    (["infer", "--model", "MODEL", "--features", "FEATURES", "--config",
+      "BAD"], '{"seed": 0}', "BAD"),
+    (TRAIN_BAD, "pulse_index,conductance\n0,0.5\n", "BAD"),
 ], ids=["infer_empty_object", "infer_list", "program_list",
         "program_dist_list", "simulate_list", "simulate_empty_record",
         "simulate_null_gamma", "simulate_nan_gamma",
@@ -600,11 +611,13 @@ def features_text(*rows) -> str:
         "config_infinite_value", "config_text_lr", "config_number_mode",
         "config_text_fraction", "config_int_past_float_range",
         "config_not_json", "config_fit_restarts", "model_not_json",
-        "gen_spec_rejected", "speed_mix_zero_denominator", "speed_mix_nan",
+        "gen_spec_rejected", "speed_mix_zero_denominator",
+        "speed_mix_empty_denominator", "speed_mix_nan",
         "speed_mix_text", "noise_nan", "noise_inf", "infer_missing_model",
         "program_long_classes", "program_short_classes",
         "program_repeated_class", "program_dist_nan_mean",
-        "train_dist_inf_covariance"])
+        "train_dist_inf_covariance", "labels_flag_not_5_or_10",
+        "mode_flag_unknown", "config_infer_seed", "train_trace_file"])
 def test_malformed_json_payload_is_one_line_error(tmp_path, small_features,
                                                   caplog, argv, payload,
                                                   named):
@@ -846,3 +859,27 @@ def test_flags_override_config_values(tmp_path):
     manifest = json.loads((tmp_path / "d.jsonl.manifest.json").read_text())
     assert manifest["total"] == 30  # 5 labels from config, 6 per label from flag
     assert manifest["spec"]["noise_std"] == 0.0
+
+
+def test_every_setting_is_read_by_its_command():
+    """Each key of cli.SETTINGS[name] is read as cfg["key"] by the command
+    wired to name, and each command reads only its own settings: a setting
+    that no command reads would change the config hash and nothing else."""
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert sorted(sub.choices) == sorted(cli.SETTINGS)
+    for name, parser in sub.choices.items():
+        tree = ast.parse(textwrap.dedent(
+            inspect.getsource(parser.get_default("fn"))))
+        read = {node.slice.value for node in ast.walk(tree)
+                if isinstance(node, ast.Subscript)
+                and isinstance(node.value, ast.Name) and node.value.id == "cfg"
+                and isinstance(node.slice, ast.Constant)}
+        assert read == set(cli.SETTINGS[name]), name
+
+
+def test_gen_data_noise_default_is_the_generators():
+    """cli may not import gesturegen at module level, so the table repeats
+    the generator's default noise as a literal."""
+    from memtact import gesturegen
+    assert cli.SETTINGS["gen-data"]["noise"] == gesturegen.DEFAULT_NOISE_STD
