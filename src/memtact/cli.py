@@ -51,10 +51,18 @@ SETTINGS = {
 }
 
 
+def _kind(default) -> tuple[type, str]:
+    """The type of a setting with this default, float for None, and its
+    name in error messages."""
+    kind = float if default is None else type(default)
+    return kind, {int: "an integer", str: "a string",
+                  float: "a finite number"}[kind]
+
+
 def _resolve(args: argparse.Namespace) -> dict:
     """The command's settings: defaults, then config-file values, then flags.
-    A value has its default's type, or is a finite number where that is a
-    float or None."""
+    A config value must have its setting's type, where a float may be any
+    finite JSON number; a flag's text is parsed with that type."""
     defaults = SETTINGS[args.command]
     cfg = dict(defaults)
     path = args.config
@@ -64,23 +72,22 @@ def _resolve(args: argparse.Namespace) -> dict:
         if unknown:
             raise ValueError(f"{path}: unknown config keys {sorted(unknown)}")
         for key, val in file_cfg.items():
-            kind = type(defaults[key])
-            if kind is int:
-                ok, want = type(val) is int, "an integer"
-            elif kind is str:
-                ok, want = type(val) is str, "a string"
-            else:  # a float default, or None for a number chosen later
-                # NaN, infinities and integers past the float range fail
-                ok = (type(val) in (int, float)
-                      and abs(val) <= sys.float_info.max)
-                want = "a finite number"
+            kind, want = _kind(defaults[key])
+            # NaN, infinities and integers past the float range fail
+            ok = type(val) is kind if kind is not float else (
+                type(val) in (int, float) and abs(val) <= sys.float_info.max)
             if not ok:
                 raise ValueError(f"{path}: config value {key} is not {want}")
         cfg.update(file_cfg)
-    for key in defaults:
-        val = getattr(args, key)
-        if val is not None:
-            cfg[key] = val
+    for key, default in defaults.items():
+        text = getattr(args, key)
+        if text is not None:
+            kind, want = _kind(default)
+            try:
+                cfg[key] = kind(text)
+            except ValueError:
+                raise ValueError(f"--{key.replace('_', '-')} {text!r} is not "
+                                 f"{want}") from None
     return cfg
 
 
@@ -188,8 +195,8 @@ def cmd_fit_device(args) -> int:
         trace = device.read_trace_csv(path)
         with named(path):
             params, report = device.fit_softbounds(trace, scheme)
-        log.info("fit %s: residual %.3g, %d evals, sigma_c2c %.3g", path,
-                 report.mad, report.evaluations, params.sigma_c2c)
+        log.info("fit %s: residual %.3g, sigma_c2c %.3g", path, report.mad,
+                 params.sigma_c2c)
         fitted.append(params)
     device.write_device_params(fitted if len(fitted) > 1 else fitted[0],
                                args.out)
@@ -334,9 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
         description = f"{help_text[0].upper()}{help_text[1:]}.{notes}"
         p = sub.add_parser(name, help=help_text, description=description)
         p.add_argument("--config", help="JSON config file")
-        for key, default in SETTINGS[name].items():
-            p.add_argument("--" + key.replace("_", "-"),
-                           type=float if default is None else type(default))
+        for key in SETTINGS[name]:
+            p.add_argument("--" + key.replace("_", "-"))
         p.set_defaults(fn=fn)
         return p
 

@@ -14,7 +14,6 @@ device-to-device population sampling.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import asdict, dataclass, fields
@@ -62,6 +61,12 @@ class DeviceParams:
             raise ValueError("step coefficients must be positive")
         if self.sigma_c2c < 0.0:
             raise ValueError("sigma_c2c must be non-negative")
+        # steps that underflow to 0, or bounds or steps whose range or sum
+        # overflows, leave n_states undefined
+        if sum(midpoint_step_sizes(self)) == 0.0:
+            raise ValueError("midpoint steps underflow to zero")
+        if not math.isfinite(n_states(self)):
+            raise ValueError("n_states is not finite")
         if n_states(self) < 2.0:
             raise ValueError("device resolves fewer than 2 states")
 
@@ -164,191 +169,35 @@ def simulate_trace(params: DeviceParams, scheme: PulseScheme, w0: float,
     return Trace(samples=out)
 
 
-@functools.lru_cache(maxsize=16)
-def _exponents(k: int) -> np.ndarray:
-    """Read-only float arange(k + 1), shared by every model trace of a scheme.
-
-    Float exponents spare np.power a cast; its results are the same.
-    """
-    e = np.arange(k + 1, dtype=np.float64)
-    e.flags.writeable = False
-    return e
-
-
-def _noise_free_samples(gu, gd, b_lo, b_hi, scheme: PulseScheme, w0,
-                        out: np.ndarray | None = None) -> np.ndarray:
-    """Closed-form noise-free trace; requires 0 < gu, gd < 1.
-
-    Constant-polarity runs follow a geometric approach to the bound. For the
-    alternating run, one up-down pair is the affine map w -> r*w + c with
-    r = (1-gu)(1-gd), which is iterated in closed form as well. The
-    total_pulses() + 1 samples are written into `out` when given.
-    """
-    if out is None:
-        out = np.empty(scheme.total_pulses() + 1)
-    au, ad = 1.0 - gu, 1.0 - gd
-    cu, cd = gu * b_hi, gd * b_lo
-    # what does not depend on a run's starting state is the same in every
-    # batch: the powers of each run and the alternating run's drift term
-    runs = [(k, a ** _exponents(k)[1:], bound)
-            for k, a, bound in ((scheme.up_per_batch, au, b_hi),
-                                (scheme.down_per_batch, ad, b_lo)) if k]
-    pairs, rem = divmod(scheme.alternating_per_batch, 2)
-    if scheme.alternating_per_batch:
-        r = au * ad
-        one_minus_r = gu + gd - gu * gd  # 1 - r without cancellation
-        c = ad * cu + cd
-        rn = r ** _exponents(pairs)
-        # wn = rn * w + c * (1 - rn) / (1 - r); drift is the second term
-        drift = np.subtract(1.0, rn)
-        drift *= c
-        drift /= one_minus_r
-    out[0] = w = w0
-    i = 1
-    for _ in range(scheme.batches):
-        for k, power, bound in runs:
-            seg = out[i:i + k]
-            np.multiply(power, bound - w, out=seg)
-            np.subtract(bound, seg, out=seg)
-            w = seg[-1]
-            i += k
-        if scheme.alternating_per_batch:
-            wn = rn * w
-            wn += drift
-            up = out[i:i + 2 * pairs:2]
-            np.multiply(au, wn[:pairs], out=up)
-            up += cu
-            out[i + 1:i + 2 * pairs:2] = wn[1:]
-            w = wn[-1]
-            i += 2 * pairs
-            if rem:
-                out[i] = w = au * w + cu
-                i += 1
-    return out
-
-
 @dataclass(frozen=True)
 class FitReport:
-    """Outcome of a trace fit: residual and model evaluations."""
+    """Outcome of a trace fit: the mean absolute one-step residual over the
+    pulses sigma_c2c is measured on, and the model evaluations, always 1.
+    Both stay because fit-device logs the residual and the benchmark's
+    tracer counts evaluations."""
 
     mad: float
     evaluations: int
 
 
-# A fit whose residual is below FIT_F_TOL stops there; read at call time
-FIT_F_TOL = 1e-6
-
-# Nelder & Mead (1965) with scipy's default coefficients: reflection,
-# expansion, contraction and shrink
-_RHO, _CHI, _PSI, _SIGMA = 1, 2, 0.5, 0.5
-
-
-class _OutOfEvaluations(Exception):
-    """The evaluation budget ran out in the middle of an iteration."""
-
-
-def _by_value(sim: list, fsim: list) -> tuple[list, list]:
-    """Vertices in np.argsort order of their values, ties as scipy has them."""
-    ind = np.array(fsim).argsort().tolist()
-    return [sim[i] for i in ind], [fsim[i] for i in ind]
-
-
-def _nelder_mead(fun, x0, *, xatol: float, fatol: float, maxiter: int,
-                 maxfev: int):
-    """Downhill simplex search minimizing fun; returns (x, fun, nfev).
-
-    Every step, the tie order of np.argsort and the maxfev cut-off that
-    abandons an iteration midway follow
-    scipy.optimize.minimize(method="Nelder-Mead") of scipy 1.17, so that
-    both give the same x, fun and nfev. Vertices are lists of floats, whose
-    arithmetic rounds as numpy's does, in scipy's order of operations; fun
-    takes one such list.
-    """
-    x0 = [float(v) for v in x0]
-    n = len(x0)
-    sim = [x0] + [x0[:k] + [(1 + 0.05) * v if v != 0 else 0.00025]
-                  + x0[k + 1:] for k, v in enumerate(x0)]
-    fsim = [np.inf] * (n + 1)
-    nfev = 0
-
-    def f(x):
-        nonlocal nfev
-        if nfev >= maxfev:
-            raise _OutOfEvaluations
-        nfev += 1
-        return fun(x)
-
-    try:
-        for k in range(n + 1):
-            fsim[k] = f(sim[k])
-    except _OutOfEvaluations:
-        pass
-    # scipy sorts twice here, which can reorder ties
-    sim, fsim = _by_value(*_by_value(sim, fsim))
-    iterations = 1
-    while nfev < maxfev and iterations < maxiter:
-        try:
-            if (all(abs(fsim[0] - v) <= fatol for v in fsim[1:])
-                    and all(abs(a - b) <= xatol
-                            for x in sim[1:] for a, b in zip(x, sim[0]))):
-                break
-            xbar = sim[0]
-            for x in sim[1:-1]:
-                xbar = [a + b for a, b in zip(xbar, x)]
-            xbar = [a / n for a in xbar]
-            worst = sim[-1]
-            xr = [(1 + _RHO) * a - _RHO * b for a, b in zip(xbar, worst)]
-            fxr = f(xr)
-            if fxr < fsim[0]:
-                xe = [(1 + _RHO * _CHI) * a - _RHO * _CHI * b
-                      for a, b in zip(xbar, worst)]
-                fxe = f(xe)
-                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-            elif fxr < fsim[-2]:
-                sim[-1], fsim[-1] = xr, fxr
-            else:
-                if fxr < fsim[-1]:
-                    xc = [(1 + _PSI * _RHO) * a - _PSI * _RHO * b
-                          for a, b in zip(xbar, worst)]
-                    fxc = f(xc)
-                    accept = fxc <= fxr
-                else:
-                    xc = [(1 - _PSI) * a + _PSI * b
-                          for a, b in zip(xbar, worst)]
-                    fxc = f(xc)
-                    accept = fxc < fsim[-1]
-                if accept:
-                    sim[-1], fsim[-1] = xc, fxc
-                else:
-                    for j in range(1, n + 1):
-                        sim[j] = [a + _SIGMA * (b - a)
-                                  for a, b in zip(sim[0], sim[j])]
-                        fsim[j] = f(sim[j])
-            iterations += 1
-        except _OutOfEvaluations:
-            pass
-        sim, fsim = _by_value(sim, fsim)
-    return np.array(sim[0]), np.min(fsim), nfev
-
-
 def fit_softbounds(trace: Trace, scheme: PulseScheme
                    ) -> tuple[DeviceParams, FitReport]:
-    """Recover soft-bounds parameters from a measured trace.
+    """Recover soft-bounds parameters from a measured trace, in closed form.
 
     A pulse is affine in the state, w' = w + gamma (b - w). So per polarity
-    the least-squares line of each step against the state it started from,
-    the step-against-conductance line of Kim et al. 2019, has slope -gamma
-    and crosses zero at b. That start, clipped into the search domain, is
-    kept if its mean absolute deviation (MAD) between the noise-free model
-    trace and the measured one is below FIT_F_TOL, as on a noise-free trace.
-    Otherwise one Nelder-Mead simplex search (reflection 1, expansion 2,
-    contraction 0.5, shrink 0.5) minimizes the MAD from there, and is run
-    once more from where it stopped if it stalls above FIT_F_TOL.
+    the line of each step d against the sample x it started from, the
+    step-against-conductance line of Kim et al. 2019, has slope -gamma and
+    crosses zero at b. Read noise on x would also sit, negated, in d and
+    steepen a least-squares line, so the line is fitted with the sample z
+    before x as its instrument (Durbin 1954): gamma = -cov(z, d) / cov(z, x)
+    and b = mean(x) + mean(d) / gamma. The first pulse is its own
+    instrument. gamma is clipped into [2e-5, 0.99], and the bounds are
+    widened to hold the first sample and +-2e-9.
 
     sigma_c2c is sqrt(sum r^2 / sum (gamma (b - w))^2), with r each pulse's
     residual against the fitted model, over the pulses whose result lies
     strictly inside the fitted bounds: the spread left around the mean
-    response (Gong et al. 2018). The report counts every model evaluation.
+    response (Gong et al. 2018).
     """
     samples = np.asarray(trace.samples, dtype=np.float64)
     expected = scheme.total_pulses() + 1
@@ -360,45 +209,22 @@ def fit_softbounds(trace: Trace, scheme: PulseScheme
         raise ValueError("trace has no dynamic range, nothing to fit")
     w0 = float(samples[0])
     w, step = samples[:-1], np.diff(samples)
+    before = np.concatenate((samples[:1], samples[:-2]))
     up = scheme.polarity_sequence() > 0
     line = []
     for sel in (up, ~up):
-        x, d = w[sel], step[sel]
-        if x.size < 2 or np.ptp(x) == 0.0:
+        x, d, z = w[sel], step[sel], before[sel]
+        dz = z - z.mean()
+        cov = float(dz @ (x - x.mean())) if x.size >= 2 else 0.0
+        if cov == 0.0:
             raise ValueError("a fit needs at least 2 pulses of each polarity, "
                              "from distinct states")
-        dx = x - x.mean()
-        g = -float(dx @ d) / float(dx @ dx)
+        g = -float(dz @ d) / cov
         if not 1e-5 < g < 0.999:
             g = min(max(g, 2e-5), 0.99)
         line += [g, float(x.mean() + d.mean() / g)]
     gu, b_hi, gd, b_lo = line
-    x0 = [gu, gd, min(b_lo, w0, -2e-9), max(b_hi, w0, 2e-9)]
-    buf = np.empty(samples.size)
-
-    def mad(p):
-        """Mean absolute deviation at point p; 1e30 off the domain."""
-        gu, gd, b_lo, b_hi = p
-        if not (1e-5 < gu < 0.999 and 1e-5 < gd < 0.999
-                and b_lo < -1e-9 and b_hi > 1e-9 and b_lo <= w0 <= b_hi):
-            return 1e30
-        _noise_free_samples(*p, scheme, w0, out=buf)
-        np.subtract(buf, samples, out=buf)
-        np.abs(buf, out=buf)
-        return float(buf.sum() / buf.size)
-
-    fun, evals = mad(x0), 1
-    opts = dict(xatol=1e-8, fatol=FIT_F_TOL, maxiter=4000, maxfev=6000)
-    for _ in range(2):
-        if fun < FIT_F_TOL:
-            break
-        # the second search re-expands the simplex where the first stalled;
-        # a fresh simplex often escapes the narrow valley that collapsed it
-        x, f, nfev = _nelder_mead(mad, x0, **opts)
-        evals += nfev
-        if f < fun:
-            x0, fun = x.tolist(), f
-    gu, gd, b_lo, b_hi = x0
+    b_lo, b_hi = min(b_lo, w0, -2e-9), max(b_hi, w0, 2e-9)
     drive = np.where(up, gu, gd) * (np.where(up, b_hi, b_lo) - w)
     inside = (samples[1:] > b_lo) & (samples[1:] < b_hi)
     r, drive = step[inside] - drive[inside], drive[inside]
@@ -406,7 +232,8 @@ def fit_softbounds(trace: Trace, scheme: PulseScheme
     params = DeviceParams(gamma_up=gu, gamma_down=gd, b_min=b_lo, b_max=b_hi,
                           sigma_c2c=math.sqrt(float(r @ r) / den)
                           if den > 0.0 else 0.0)
-    return params, FitReport(mad=float(fun), evaluations=evals)
+    mad = float(np.abs(r).mean()) if r.size else 0.0
+    return params, FitReport(mad=mad, evaluations=1)
 
 
 @dataclass(frozen=True)

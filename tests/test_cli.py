@@ -596,6 +596,11 @@ def features_text(*rows) -> str:
     (["infer", "--model", "MODEL", "--features", "FEATURES", "--config",
       "BAD"], '{"seed": 0}', "BAD"),
     (TRAIN_BAD, "pulse_index,conductance\n0,0.5\n", "BAD"),
+    (["simulate-trace", "--params", "BAD", "--out", "OUT"],
+     json.dumps({"gamma_up": 1e-300, "gamma_down": 1e-300, "b_min": -1e-300,
+                 "b_max": 1e-300, "sigma_c2c": 0.0}), "BAD"),
+    ([*TRAIN, "--epochs", "two"], None, "--epochs"),
+    ([*TRAIN, "--config", "BAD"], '{"epochs": "two"}', "BAD"),
 ], ids=["infer_empty_object", "infer_list", "program_list",
         "program_dist_list", "simulate_list", "simulate_empty_record",
         "simulate_null_gamma", "simulate_nan_gamma",
@@ -617,7 +622,8 @@ def features_text(*rows) -> str:
         "program_long_classes", "program_short_classes",
         "program_repeated_class", "program_dist_nan_mean",
         "train_dist_inf_covariance", "labels_flag_not_5_or_10",
-        "mode_flag_unknown", "config_infer_seed", "train_trace_file"])
+        "mode_flag_unknown", "config_infer_seed", "train_trace_file",
+        "simulate_steps_underflow", "epochs_flag_text", "config_text_epochs"])
 def test_malformed_json_payload_is_one_line_error(tmp_path, small_features,
                                                   caplog, argv, payload,
                                                   named):
@@ -681,9 +687,11 @@ SIMULATE = ["simulate-trace", "--params", "PARAMS", "--out", "OUT"]
      "params index 7 out of range for 1 record"),
     (["fit-device", "--traces", "TRACE", "--scheme", "1,20,20,30", "--out",
       "OUT"], "TRACE: trace length 81 does not match scheme (71)"),
+    ([*TRAIN, "--epochs", "two"], "--epochs 'two' is not an integer"),
+    ([*TRAIN, "--lr", "fast"], "--lr 'fast' is not a finite number"),
 ], ids=["gen_data_seed", "train_seed", "program_seed", "simulate_seed",
         "train_hidden", "simulate_index", "simulate_index_one_record",
-        "fit_scheme_mismatch"])
+        "fit_scheme_mismatch", "train_epochs_text", "train_lr_text"])
 def test_out_of_range_integer_setting_is_named(tmp_path, small_features,
                                                argv, message):
     """A seed, count or index out of range, or a scheme that does not

@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 
 from memtact.data import derive_rng
 from memtact.device import (
-    _nelder_mead,
-    _noise_free_samples,
     DeviceDistribution,
     DeviceParams,
     PulseScheme,
@@ -173,27 +171,6 @@ def test_trace_matches_per_pulse_oracle():
         assert np.array_equal(trace.samples, np.asarray(expected))
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(gu=st.floats(1e-4, 0.9), gd=st.floats(1e-4, 0.9),
-       b_lo=st.floats(-2.0, -0.05), b_hi=st.floats(0.05, 2.0),
-       start=st.floats(0.0, 1.0),
-       layout=st.tuples(st.integers(0, 3), st.integers(0, 9),
-                        st.integers(0, 9), st.integers(0, 25)))
-def test_closed_form_trace_into_buffer_matches_fresh_and_oracle(
-        gu, gd, b_lo, b_hi, start, layout):
-    """Writing into a reused buffer changes no bit; both track the loop."""
-    scheme = PulseScheme(*layout)
-    w0 = min(max(b_lo + start * (b_hi - b_lo), b_lo), b_hi)
-    fresh = _noise_free_samples(gu, gd, b_lo, b_hi, scheme, w0)
-    buf = np.full(scheme.total_pulses() + 1, np.nan)
-    into = _noise_free_samples(gu, gd, b_lo, b_hi, scheme, w0, out=buf)
-    assert into is buf
-    assert np.array_equal(into, fresh)
-    params = make_params(gu=gu, gd=gd, b_min=b_lo, b_max=b_hi)
-    oracle = simulate_trace(params, scheme, w0, derive_rng(0, 0)).samples
-    np.testing.assert_allclose(fresh, oracle, rtol=0, atol=1e-9)
-
-
 def test_simulate_rejects_out_of_bounds_start():
     with pytest.raises(ValueError):
         simulate_trace(make_params(), PulseScheme(), 1.5, derive_rng(0, 0))
@@ -216,55 +193,6 @@ def test_simulation_is_deterministic():
 
 
 # -- fitting ----------------------------------------------------------------
-
-
-def rosenbrock(x):
-    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2
-                        + (1.0 - x[:-1]) ** 2))
-
-
-def fenced_bowl(x):
-    """A bowl whose floor lies behind the fit's 1e30 penalty at x[0] > 1."""
-    if x[0] > 1.0:
-        return 1e30
-    return float(np.sum((x - np.array([2.0, 1.0, -1.0, 0.5])) ** 2))
-
-
-def walled(x):
-    """Every vertex of the first simplex sits on the penalty, all tied."""
-    if x[0] >= 1.0:
-        return 1e30
-    return float(np.sum(np.abs(x - 0.3)))
-
-
-@pytest.mark.parametrize("fun, x0, opts", [
-    (rosenbrock, [-1.2, 1.0, 0.8, 1.5],
-     dict(xatol=1e-8, fatol=1e-10, maxiter=4000, maxfev=6000)),
-    (fenced_bowl, [0.99, 0.0, 1.0, -1.0],
-     dict(xatol=1e-8, fatol=1e-6, maxiter=4000, maxfev=6000)),
-    (walled, [1.0, 0.0, 2.0, 3.0],
-     dict(xatol=1e-8, fatol=1e-6, maxiter=4000, maxfev=6000)),
-    (rosenbrock, [-1.2, 1.0, 0.8, 1.5],
-     dict(xatol=1e-8, fatol=1e-10, maxiter=4000, maxfev=157)),
-    (rosenbrock, [-1.2, 1.0, 0.8, 1.5],
-     dict(xatol=1e-8, fatol=1e-10, maxiter=41, maxfev=6000)),
-], ids=["smooth", "penalty", "tied_penalty", "maxfev_binds", "maxiter_binds"])
-def test_nelder_mead_matches_scipy(fun, x0, opts):
-    """The in-package search takes scipy's steps: same x, fun and nfev."""
-    optimize = pytest.importorskip("scipy.optimize")
-    want = optimize.minimize(fun, np.array(x0), method="Nelder-Mead",
-                             options=opts)
-    x, f, nfev = _nelder_mead(lambda x: fun(np.array(x)), np.array(x0),
-                              **opts)
-    assert np.array_equal(x, want.x)
-    assert f == want.fun
-    assert nfev == want.nfev
-    if opts["maxfev"] < 6000:
-        assert nfev == opts["maxfev"]
-    elif opts["maxiter"] < 4000:
-        assert want.nit == opts["maxiter"] and nfev < opts["maxfev"]
-    else:
-        assert want.success
 
 
 def test_fit_recovers_known_device():
@@ -300,46 +228,9 @@ def test_fit_rejects_degenerate_traces():
         fit_softbounds(trace, one_down)
 
 
-def _noisy_bench_traces(seed):
-    """The benchmark's characterize set-up: 8 default-population devices."""
-    rng = derive_rng(seed, 0)
-    scheme = PulseScheme(1, 200, 200, 1000)
-    out = []
-    for _ in range(8):
-        params = sample_device(default_distribution(), rng)
-        out.append((params, simulate_trace(params, scheme, 0.0, rng)))
-    return scheme, out
-
-
 def _worst_error(fit, true):
     return max(abs(getattr(fit, k) - getattr(true, k)) / abs(getattr(true, k))
                for k in ("gamma_up", "gamma_down", "b_min", "b_max"))
-
-
-@pytest.mark.parametrize("seed", [201, 203, 207, 209])
-def test_fit_matches_search_from_truth(seed):
-    """One search from the regression start loses nothing that counts.
-
-    The fit's residual is at most that of the true device's noise-free
-    trace, and within 1e-5, relative, of the residual a search started at
-    the true parameters reaches.
-    """
-    scheme, traces = _noisy_bench_traces(seed)
-    for true, trace in traces:
-        fit, report = fit_softbounds(trace, scheme)
-
-        def mad(p):
-            gu, gd, b_lo, b_hi = p
-            if not (0 < gu < 1 and 0 < gd < 1 and b_lo < 0.0 < b_hi):
-                return 1e30
-            model = _noise_free_samples(*p, scheme, 0.0)
-            return float(np.mean(np.abs(model - trace.samples)))
-
-        truth = [true.gamma_up, true.gamma_down, true.b_min, true.b_max]
-        assert report.mad <= mad(truth)
-        _, ref, _ = _nelder_mead(mad, truth, xatol=1e-8, fatol=1e-6,
-                                 maxiter=4000, maxfev=6000)
-        assert abs(report.mad - ref) <= 1e-5 * ref
 
 
 def test_fit_is_deterministic():
