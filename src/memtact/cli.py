@@ -222,15 +222,16 @@ def _split_features(x, y, test_fraction, seed):
 def cmd_train(args) -> int:
     from . import nn, tactile
     cfg = _resolve(args)
-    hidden = cfg["hidden"]
+    hidden, mode = cfg["hidden"], cfg["mode"]
     if hidden < 0:
         raise ValueError(f"hidden must be non-negative, got {hidden}")
+    if args.dist and mode == "fp_sgd":
+        raise ValueError("--dist applies to ttv2 mode only")
     x, y = tactile.read_features_csv(args.features)
     train, test, scaler, classes = _split_features(
         x, y, float(cfg["test_fraction"]), cfg["seed"])
     spec = nn.NetworkSpec((x.shape[1], *([hidden] if hidden else []),
                            len(classes)))
-    mode = cfg["mode"]
     if cfg["lr"] is None:
         cfg["lr"] = 0.05 if mode == "fp_sgd" else 0.1
     tcfg = nn.TrainConfig(mode=mode, lr=float(cfg["lr"]),
@@ -243,7 +244,7 @@ def cmd_train(args) -> int:
         history = nn.train_sgd_fp(net, train, tcfg, test)
         model = net
     else:
-        dist = _load_distribution(getattr(args, "dist", None))
+        dist = _load_distribution(args.dist)
         model, history = nn.train_ttv2(spec, train, dist, tcfg, test)
     nn.save_model(model, args.model_out, scaler=scaler, classes=classes,
                   extra={"config_hash": chash, "mode": mode})
@@ -267,7 +268,7 @@ def cmd_program(args) -> int:
     from . import crossbar, nn
     cfg = _resolve(args)
     net, scaler, classes = nn.load_model(args.model)
-    dist = _load_distribution(getattr(args, "dist", None))
+    dist = _load_distribution(args.dist)
     analog, reports = nn.program_network(
         net, dist, seed=cfg["seed"], epsilon=float(cfg["epsilon"]),
         max_iter=cfg["max_iter"])

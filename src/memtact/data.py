@@ -146,13 +146,20 @@ def json_float(path, value, what: str) -> float:
         raise ValueError(f"{path}: {what} is not a number") from None
 
 
-def json_array(path, value, what: str) -> np.ndarray:
-    """value as a float64 array; else a ValueError naming the file."""
+def json_array(path, value, what: str, shape: tuple) -> np.ndarray:
+    """value as a float64 array of the given shape with finite values; else
+    a ValueError naming the file."""
     try:
-        return np.asarray(value, dtype=np.float64)
+        a = np.asarray(value, dtype=np.float64)
     except (TypeError, ValueError):
         raise ValueError(f"{path}: {what} is not an array of numbers") \
             from None
+    if a.shape != shape:
+        raise ValueError(f"{path}: {what} must have shape {shape}, not "
+                         f"{a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{path}: {what} must be finite")
+    return a
 
 
 def write_csv(path, header_lines, columns, rows, end="\r\n") -> int:
@@ -170,11 +177,12 @@ def write_csv(path, header_lines, columns, rows, end="\r\n") -> int:
 
 
 def read_csv(path, kind: str, columns: list, parse, *,
-             more_columns: bool = False) -> list:
-    """parse(fields) of each row of a CSV file, skipping blank and `#` lines.
-    The first other line must name the columns, and others after them only
-    if more_columns, else `<path>: not a <kind> file`; a ValueError from
-    parse gets `<path>, line N: ` in front."""
+             more_columns: bool = False):
+    """Yield parse(fields) for each row of a CSV file, skipping blank and
+    `#` lines. The first other line must name the columns, and others after
+    them only if more_columns, else `<path>: not a <kind> file`; a
+    ValueError or OverflowError from parse is a ValueError with
+    `<path>, line N: ` in front."""
     with open(path) as fh:
         lines = enumerate(fh, 1)
         header = next((line for _, line in lines
@@ -182,15 +190,14 @@ def read_csv(path, kind: str, columns: list, parse, *,
         names = header.strip().split(",")
         if (names[:len(columns)] if more_columns else names) != columns:
             raise ValueError(f"{path}: not a {kind} file")
-        rows = []
         for lineno, line in lines:
             line = line.strip()
             if line and line[0] != "#":
                 try:
-                    rows.append(parse(line.split(",")))
-                except ValueError as e:
+                    row = parse(line.split(","))
+                except (ValueError, OverflowError) as e:
                     raise ValueError(f"{path}, line {lineno}: {e}") from None
-    return rows
+                yield row
 
 
 @contextlib.contextmanager

@@ -343,10 +343,10 @@ def _conductance(fields) -> float:
 def read_trace_csv(path) -> Trace:
     """Read a trace; every ValueError names the file, a bad row its line.
     Columns past the second, as imported measurements may hold, are unread."""
-    values = read_csv(path, "trace", TRACE_COLUMNS, _conductance,
-                      more_columns=True)
+    values = np.fromiter(read_csv(path, "trace", TRACE_COLUMNS, _conductance,
+                                  more_columns=True), np.float64)
     with named(path):
-        return Trace(samples=np.array(values))
+        return Trace(samples=values)
 
 
 def write_device_params(params, path) -> None:
@@ -389,8 +389,9 @@ def read_distribution(path) -> DeviceDistribution:
     d = json_object(path, read_json(path), ("mean", "covariance"),
                     "distribution")
     values = dict(
-        mean=json_array(path, d["mean"], "distribution mean"),
-        covariance=json_array(path, d["covariance"], "distribution covariance"),
+        mean=json_array(path, d["mean"], "distribution mean", (2,)),
+        covariance=json_array(path, d["covariance"], "distribution covariance",
+                              (2, 2)),
         clamp_n_min=json_float(path, d.get("clamp_n_min", 2.0),
                                "distribution clamp_n_min"),
         clamp_asym=json_float(path, d.get("clamp_asym", 1.0 - 1e-6),

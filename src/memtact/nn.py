@@ -535,29 +535,18 @@ def load_model(path):
         raise ValueError(f"{path}: weights and biases need one list per "
                          f"layer")
     weights, biases = [], []
-    for l in range(spec.n_layers):
-        w = json_array(path, d["weights"][l], f"layer {l} weights")
-        if w.size != dims[l] * dims[l + 1]:
-            raise ValueError(f"{path}: layer {l} weights hold {w.size} "
-                             f"values, not {dims[l]}x{dims[l + 1]}")
-        weights.append(w.reshape(dims[l], dims[l + 1]))
-        b = json_array(path, d["biases"][l], f"layer {l} biases")
-        if b.shape != (dims[l + 1],):
-            raise ValueError(f"{path}: layer {l} biases are not a list of "
-                             f"{dims[l + 1]} numbers")
-        biases.append(b)
+    for l, (m, n) in enumerate(zip(dims, dims[1:])):
+        w = json_array(path, d["weights"][l], f"layer {l} weights", (m * n,))
+        weights.append(w.reshape(m, n))
+        biases.append(json_array(path, d["biases"][l], f"layer {l} biases",
+                                 (n,)))
     net = Network.from_arrays(spec, weights, biases)
     scaler = None
     if d.get("scaler"):
         s = json_object(path, d["scaler"], ("mean", "std"), "scaler")
-        s = {k: json_array(path, s[k], f"scaler {k}") for k in ("mean", "std")}
-        for k, v in s.items():
-            if v.shape != (dims[0],):
-                held = f"{v.size} values" if v.ndim == 1 \
-                    else f"an array of shape {v.shape}"
-                raise ValueError(f"{path}: scaler {k} holds {held}, "
-                                 f"not {dims[0]}")
-        scaler = FeatureScaler.from_dict(s)
+        scaler = FeatureScaler(*(json_array(path, s[k], f"scaler {k}",
+                                            (dims[0],))
+                                 for k in ("mean", "std")))
     return net, scaler, classes
 
 
@@ -578,5 +567,5 @@ def _epoch_record(fields) -> EpochRecord:
 
 def read_history_csv(path) -> TrainHistory:
     """Read a history; every ValueError names the file, a bad row its line."""
-    return TrainHistory(read_csv(path, "history", HISTORY_COLUMNS,
-                                 _epoch_record))
+    return TrainHistory(list(read_csv(path, "history", HISTORY_COLUMNS,
+                                      _epoch_record)))

@@ -429,21 +429,23 @@ def write_feature_rows(rows, path, header_lines=()) -> int:
     return count
 
 
-def _feature_row(fields) -> tuple[list, int]:
+def _feature_row(fields) -> tuple[list, np.int64]:
     if len(fields) != FEATURE_LENGTH + 1:
         raise ValueError(f"{len(fields)} fields, not {FEATURE_LENGTH + 1}")
     if not fields[-1].lstrip("-").isdecimal():
         raise ValueError(f"label {fields[-1]!r} is not an integer")
-    return list(map(float, fields[:-1])), int(fields[-1])
+    return list(map(float, fields[:-1])), np.int64(fields[-1])
 
 
 def read_features_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Feature rows, each FEATURE_LENGTH numbers and an integer label; a
-    ValueError names the file, and a bad row its line."""
-    rows = read_csv(path, "feature", FEATURE_NAMES + ["label"], _feature_row)
-    if not rows:
+    """Feature rows, each FEATURE_LENGTH numbers and an integer label, read
+    one at a time into one array; a ValueError names the file, and a bad
+    row its line."""
+    rows = np.fromiter(
+        read_csv(path, "feature", FEATURE_NAMES + ["label"], _feature_row),
+        [("x", np.float64, (FEATURE_LENGTH,)), ("label", np.int64)])
+    if not rows.size:
         raise ValueError(f"{path}: no feature rows")
-    x = np.asarray([r for r, _ in rows], dtype=np.float64)
-    if not np.all(np.isfinite(x)):
+    if not np.all(np.isfinite(rows["x"])):
         raise ValueError(f"{path}: features must be finite")
-    return x, np.asarray([lab for _, lab in rows], dtype=np.int64)
+    return rows["x"], rows["label"]

@@ -3,12 +3,15 @@
 import argparse
 import ast
 import concurrent.futures
+import functools
 import hashlib
 import inspect
 import json
 import logging
 import multiprocessing
+import operator
 import os
+import string
 import subprocess
 import sys
 import textwrap
@@ -18,6 +21,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import memtact
 from memtact import cli, device, nn, tactile
@@ -504,6 +509,12 @@ PARAMS = {"gamma_up": 0.1, "gamma_down": 0.1, "b_min": -1.0, "b_max": 1.0,
 DIST = {"mean": [20.0, 0.0], "covariance": [[1.0, 0.0], [0.0, 0.01]]}
 MODEL = {"spec": {"layer_dims": [3, 2]}, "weights": [[0.0] * 6],
          "biases": [[0.0, 0.0]], "classes": [0, 1]}
+# a model that the small features fit, but for the values at fault
+MODEL38 = {"spec": {"layer_dims": [tactile.FEATURE_LENGTH, 5]},
+           "weights": [[0.0] * (tactile.FEATURE_LENGTH * 5)],
+           "biases": [[0.0] * 5], "classes": [1, 2, 3, 4, 5],
+           "scaler": {"mean": [0.0] * tactile.FEATURE_LENGTH,
+                      "std": [1.0] * tactile.FEATURE_LENGTH}}
 TRAIN = ["train", "--features", "FEATURES", "--model-out", "OUT"]
 TRAIN_BAD = ["train", "--features", "BAD", "--model-out", "OUT"]
 ROW = ",".join(["0.5"] * tactile.FEATURE_LENGTH + ["1"])
@@ -550,6 +561,7 @@ def features_text(*rows) -> str:
     (TRAIN_BAD, features_text(ROW, ROW, "0.5,1"), "BAD"),
     (TRAIN_BAD, features_text(ROW, "x" + ROW[3:]), "BAD"),
     (TRAIN_BAD, features_text(ROW, ROW[:-1] + "1.5"), "BAD"),
+    (TRAIN_BAD, features_text(ROW, ROW[:-1] + "9" * 20), "BAD"),
     (["gen-data", "--config", "BAD", "--out", "OUT"], "5", "BAD"),
     (["gen-data", "--config", "BAD", "--out", "OUT"], "[1, 2]", "BAD"),
     (["gen-data", "--config", "BAD", "--out", "OUT"], '{"labels": [5]}',
@@ -601,6 +613,17 @@ def features_text(*rows) -> str:
                  "b_max": 1e-300, "sigma_c2c": 0.0}), "BAD"),
     ([*TRAIN, "--epochs", "two"], None, "--epochs"),
     ([*TRAIN, "--config", "BAD"], '{"epochs": "two"}', "BAD"),
+    (["infer", "--model", "BAD", "--features", "FEATURES"],
+     json.dumps({**MODEL38, "weights": [[float("nan")]
+                                        + MODEL38["weights"][0][1:]]}),
+     "BAD"),
+    (["infer", "--model", "BAD", "--features", "FEATURES"],
+     json.dumps({**MODEL38, "scaler": {**MODEL38["scaler"], "std": [
+         float("inf")] + MODEL38["scaler"]["std"][1:]}}), "BAD"),
+    (["program", "--model", "BAD", "--out", "OUT"],
+     json.dumps({**MODEL38, "weights": [[float("nan")]
+                                        + MODEL38["weights"][0][1:]]}),
+     "BAD"),
 ], ids=["infer_empty_object", "infer_list", "program_list",
         "program_dist_list", "simulate_list", "simulate_empty_record",
         "simulate_null_gamma", "simulate_nan_gamma",
@@ -610,7 +633,7 @@ def features_text(*rows) -> str:
         "program_dist_2x3_covariance", "program_short_scaler_mean",
         "infer_nested_scaler_std", "train_ten_field_rows",
         "train_one_short_row", "train_text_feature",
-        "train_fractional_label", "config_int",
+        "train_fractional_label", "train_label_past_int64", "config_int",
         "config_list", "config_list_value", "config_null_value",
         "config_fractional_int",
         "config_infinite_value", "config_text_lr", "config_number_mode",
@@ -623,7 +646,9 @@ def features_text(*rows) -> str:
         "program_repeated_class", "program_dist_nan_mean",
         "train_dist_inf_covariance", "labels_flag_not_5_or_10",
         "mode_flag_unknown", "config_infer_seed", "train_trace_file",
-        "simulate_steps_underflow", "epochs_flag_text", "config_text_epochs"])
+        "simulate_steps_underflow", "epochs_flag_text", "config_text_epochs",
+        "infer_nan_weight", "infer_infinite_scaler_std",
+        "program_nan_weight"])
 def test_malformed_json_payload_is_one_line_error(tmp_path, small_features,
                                                   caplog, argv, payload,
                                                   named):
@@ -671,6 +696,167 @@ def test_error_exits_with_status_one_and_one_stderr_line(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+# The corrupted-field strategy: in a valid input, one field that its
+# reader reads is replaced by a token that is never valid there (text,
+# empty, null, NaN, Infinity, a nested list or a number past the float
+# range). The command must end with one `error:` line naming the file and
+# write nothing. Letters alone never spell a finite number.
+LETTERS = st.text(string.ascii_letters, min_size=1, max_size=8)
+CSV_TOKENS = LETTERS | st.sampled_from(
+    ["", "null", "NaN", "Infinity", "[[0.5], [1]]", "1e999"])
+JSON_TOKENS = LETTERS.map(json.dumps) | st.sampled_from(
+    ['""', "null", "NaN", "Infinity", "[[0.5], [1]]", "1e999"])
+CORRUPTION = settings(max_examples=20, deadline=None, derandomize=True,
+                      database=None)
+# each reader's command, with IN for the corrupted file
+CORRUPTED_COMMANDS = {
+    "FEATURES": ["train", "--features", "IN", "--epochs", "1",
+                 "--model-out", "OUT"],
+    "TRACE": ["fit-device", "--traces", "IN", "--scheme", "1,20,20,40",
+              "--out", "OUT"],
+    "PARAMS": ["simulate-trace", "--params", "IN", "--out", "OUT"],
+    "DIST": ["program", "--model", "MODEL", "--dist", "IN", "--out", "OUT"],
+    "MODEL": ["infer", "--model", "IN", "--features", "FEATURES", "--out",
+              "OUT"],
+    "CONFIG": ["train", "--features", "FEATURES", "--config", "IN",
+               "--model-out", "OUT"],
+}
+
+
+@pytest.fixture(scope="module")
+def valid_inputs(tmp_path_factory):
+    """One valid file per reader, each of which its command accepts."""
+    tmp = tmp_path_factory.mktemp("valid")
+    paths = {k: tmp / name for k, name in [
+        ("FEATURES", "f.csv"), ("TRACE", "t.csv"), ("PARAMS", "p.json"),
+        ("DIST", "d.json"), ("MODEL", "m.json"), ("CONFIG", "c.json")]}
+    width = tactile.FEATURE_LENGTH
+    rng = derive_rng(29, 0)
+    tactile.write_features_csv(rng.standard_normal((4, width)), [1, 1, 2, 2],
+                               paths["FEATURES"])
+    params = device.DeviceParams(gamma_up=0.09, gamma_down=0.07,
+                                 sigma_c2c=0.02)
+    device.write_device_params(params, paths["PARAMS"])
+    device.write_trace_csv(device.simulate_trace(
+        params, device.PulseScheme(1, 20, 20, 40), 0.0, derive_rng(29, 1)),
+        paths["TRACE"])
+    device.write_distribution(device.default_distribution(), paths["DIST"])
+    nn.save_model(nn.Network(nn.NetworkSpec((width, 2)), seed=0),
+                  paths["MODEL"], classes=[1, 2], scaler=FeatureScaler(
+                      mean=np.zeros(width), std=np.ones(width)))
+    paths["CONFIG"].write_text(json.dumps(
+        {"epochs": 1, "hidden": 0, "lr": 0.05, "fast_lr": 0.5,
+         "transfer_every": 5, "seed": 0, "test_fraction": 0.25}))
+    for reader, argv in CORRUPTED_COMMANDS.items():
+        out = tmp / f"{reader}.out"
+        assert run(*({**paths, "IN": paths[reader], "OUT": out}.get(a, a)
+                     for a in argv)) == 0
+        assert out.exists()
+    return paths
+
+
+def number_leaves(value, at=()) -> list:
+    """The key paths of the numbers in a JSON value, in file order."""
+    if isinstance(value, (dict, list)):
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        return [leaf for k, v in items for leaf in number_leaves(v, (*at, k))]
+    return [at] if isinstance(value, (int, float)) else []
+
+
+def corrupt_json(text, pick, token) -> str:
+    """text with its pick-th number, cyclically, written as token."""
+    payload = json.loads(text)
+    leaves = number_leaves(payload)
+    *keys, last = leaves[pick % len(leaves)]
+    functools.reduce(operator.getitem, keys, payload)[last] = "\0corrupt"
+    return json.dumps(payload).replace(json.dumps("\0corrupt"), token)
+
+
+def corrupt_csv(text, pick, token, columns=None) -> str:
+    """text with its pick-th field, cyclically, among the given columns
+    (every column if None) of its rows, replaced by token."""
+    lines = text.split("\n")
+    rows = [i for i, line in enumerate(lines) if line and line[0] != "#"][1:]
+    width = len(lines[rows[0]].split(","))
+    fields = [(i, c) for i in rows for c in (columns or range(width))]
+    i, c = fields[pick % len(fields)]
+    cells = lines[i].split(",")
+    cells[c] = token
+    lines[i] = ",".join(cells)
+    return "\n".join(lines)
+
+
+def assert_corruption_is_one_line_error(tmp_path_factory, valid_inputs,
+                                        reader, corrupted_text):
+    tmp = tmp_path_factory.mktemp("corrupt")
+    bad = tmp / valid_inputs[reader].name
+    bad.write_text(corrupted_text)
+    paths = {**valid_inputs, "IN": bad, "OUT": tmp / "out"}
+    with pytest.raises(SystemExit) as exc:
+        run(*(paths.get(a, a) for a in CORRUPTED_COMMANDS[reader]))
+    message = exc.value.code
+    assert isinstance(message, str) and message.startswith("error:")
+    assert "\n" not in message
+    assert str(bad) in message
+    assert not paths["OUT"].exists()
+
+
+@CORRUPTION
+@given(pick=st.integers(0, 10**6), token=CSV_TOKENS)
+def test_corrupted_features_field_is_one_line_error(
+        tmp_path_factory, valid_inputs, pick, token):
+    text = corrupt_csv(valid_inputs["FEATURES"].read_text(), pick, token)
+    assert_corruption_is_one_line_error(tmp_path_factory, valid_inputs,
+                                        "FEATURES", text)
+
+
+@CORRUPTION
+@given(pick=st.integers(0, 10**6), token=CSV_TOKENS)
+def test_corrupted_trace_conductance_is_one_line_error(
+        tmp_path_factory, valid_inputs, pick, token):
+    """Only the conductance column is read."""
+    text = corrupt_csv(valid_inputs["TRACE"].read_text(), pick, token, [1])
+    assert_corruption_is_one_line_error(tmp_path_factory, valid_inputs,
+                                        "TRACE", text)
+
+
+@CORRUPTION
+@given(pick=st.integers(0, 10**6), token=JSON_TOKENS)
+def test_corrupted_device_params_field_is_one_line_error(
+        tmp_path_factory, valid_inputs, pick, token):
+    text = corrupt_json(valid_inputs["PARAMS"].read_text(), pick, token)
+    assert_corruption_is_one_line_error(tmp_path_factory, valid_inputs,
+                                        "PARAMS", text)
+
+
+@CORRUPTION
+@given(pick=st.integers(0, 10**6), token=JSON_TOKENS)
+def test_corrupted_distribution_field_is_one_line_error(
+        tmp_path_factory, valid_inputs, pick, token):
+    text = corrupt_json(valid_inputs["DIST"].read_text(), pick, token)
+    assert_corruption_is_one_line_error(tmp_path_factory, valid_inputs,
+                                        "DIST", text)
+
+
+@CORRUPTION
+@given(pick=st.integers(0, 10**6), token=JSON_TOKENS)
+@example(pick=2, token="NaN")  # the first weight: layer_dims comes first
+def test_corrupted_model_field_is_one_line_error(
+        tmp_path_factory, valid_inputs, pick, token):
+    text = corrupt_json(valid_inputs["MODEL"].read_text(), pick, token)
+    assert_corruption_is_one_line_error(tmp_path_factory, valid_inputs,
+                                        "MODEL", text)
+
+
+@CORRUPTION
+@given(pick=st.integers(0, 10**6), token=JSON_TOKENS)
+def test_corrupted_config_value_is_one_line_error(
+        tmp_path_factory, valid_inputs, pick, token):
+    text = corrupt_json(valid_inputs["CONFIG"].read_text(), pick, token)
+    assert_corruption_is_one_line_error(tmp_path_factory, valid_inputs,
+                                        "CONFIG", text)
+
+
 NEGATIVE_SEED = "seed must be non-negative, got -1"
 SIMULATE = ["simulate-trace", "--params", "PARAMS", "--out", "OUT"]
 
@@ -689,14 +875,17 @@ SIMULATE = ["simulate-trace", "--params", "PARAMS", "--out", "OUT"]
       "OUT"], "TRACE: trace length 81 does not match scheme (71)"),
     ([*TRAIN, "--epochs", "two"], "--epochs 'two' is not an integer"),
     ([*TRAIN, "--lr", "fast"], "--lr 'fast' is not a finite number"),
+    ([*TRAIN, "--dist", "missing.json"], "--dist applies to ttv2 mode only"),
 ], ids=["gen_data_seed", "train_seed", "program_seed", "simulate_seed",
         "train_hidden", "simulate_index", "simulate_index_one_record",
-        "fit_scheme_mismatch", "train_epochs_text", "train_lr_text"])
+        "fit_scheme_mismatch", "train_epochs_text", "train_lr_text",
+        "train_fp_dist"])
 def test_out_of_range_integer_setting_is_named(tmp_path, small_features,
                                                argv, message):
-    """A seed, count or index out of range, or a scheme that does not
-    match the trace, ends the command with one `error:` line that names the
-    setting and its value, and writes nothing."""
+    """A seed, count or index out of range, a scheme that does not match
+    the trace, or a flag the training mode does not use, ends the command
+    with one `error:` line that names the setting and its value, and writes
+    nothing."""
     p = device.DeviceParams(gamma_up=0.09, gamma_down=0.07, sigma_c2c=0.02)
     paths = {"FEATURES": small_features, "MODEL": tmp_path / "model.json",
              "PARAMS": tmp_path / "params.json", "PARAM": tmp_path / "p.json",

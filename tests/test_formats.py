@@ -202,7 +202,8 @@ def test_csv_codec_layout_and_line_numbers(tmp_path):
     assert write_csv(path, ["h=1"], ["a", "b"], [["1", "2"], ["3", "4"]],
                      "\n") == 2
     assert path.read_bytes() == b"# h=1\na,b\n1,2\n3,4\n"
-    assert read_csv(path, "x", ["a", "b"], tuple) == [("1", "2"), ("3", "4")]
+    assert list(read_csv(path, "x", ["a", "b"], tuple)) == [("1", "2"),
+                                                         ("3", "4")]
     path.write_text("# h\n\na,b\n1,2\n# note\n\nbad\n")
 
     def parse(fields):
@@ -211,12 +212,12 @@ def test_csv_codec_layout_and_line_numbers(tmp_path):
         return fields
 
     with pytest.raises(ValueError) as exc:
-        read_csv(path, "x", ["a", "b"], parse)
+        list(read_csv(path, "x", ["a", "b"], parse))
     assert str(exc.value) == f"{path}, line 7: one field"
     for text in ("", "# only a comment\n", "b,a\n", "a\n"):
         path.write_text(text)
         with pytest.raises(ValueError) as exc:
-            read_csv(path, "x", ["a", "b"], parse, more_columns=True)
+            list(read_csv(path, "x", ["a", "b"], parse, more_columns=True))
         assert str(exc.value) == f"{path}: not a x file"
 
 

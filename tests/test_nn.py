@@ -765,13 +765,15 @@ def test_load_model_names_file_and_layer(tmp_path):
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError) as exc:
         load_model(path)
-    assert str(exc.value) == f"{path}: layer 1 weights hold 7 values, not 4x2"
+    assert str(exc.value) == (f"{path}: layer 1 weights must have shape "
+                              f"(8,), not (7,)")
     payload["weights"][1] = [0.0] * 8
     payload["scaler"] = {"mean": [0.0] * 5, "std": [1.0] * 3}
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError) as exc:
         load_model(path)
-    assert str(exc.value) == f"{path}: scaler mean holds 5 values, not 3"
+    assert str(exc.value) == (f"{path}: scaler mean must have shape (3,), "
+                              f"not (5,)")
     payload["spec"]["layer_dims"] = [3]
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError) as exc:

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -524,6 +525,33 @@ def test_features_csv_roundtrip(tmp_path):
     back_x, back_y = read_features_csv(path)
     assert np.array_equal(back_x, feats)
     assert np.array_equal(back_y, labels)
+
+
+# Bound fixed before the first run. The reader may hold the one array it
+# returns, the buffer it grows row by row (half as large again before its
+# last copy) and one row's Python values; holding every row as Python
+# objects before copying them into arrays, as a list-returning codec does,
+# breaks it.
+READ_PEAK_BOUND = 3.0
+
+
+def test_features_reader_peak_memory_is_bounded(tmp_path):
+    """The traced peak of read_features_csv on 2000 rows stays below
+    READ_PEAK_BOUND times the bytes of the arrays it returns."""
+    rng = derive_rng(28, 0)
+    path = tmp_path / "features.csv"
+    write_features_csv(rng.standard_normal((2000, FEATURE_LENGTH)),
+                       rng.integers(0, 10, 2000), path)
+    read_features_csv(path)  # lazy imports and one-off caches
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        x, y = read_features_csv(path)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    ratio = peak / (x.nbytes + y.nbytes)
+    assert ratio < READ_PEAK_BOUND, ratio
 
 
 def test_features_csv_rejects_foreign_header(tmp_path):
