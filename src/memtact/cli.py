@@ -22,8 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import device
-from .data import Dataset, FeatureScaler, derive_rng, fan_out, json_object, \
-    named, read_json, stratified_split_indices
+from .data import FLOAT_MAX, Dataset, FeatureScaler, derive_rng, fan_out, \
+    json_object, named, read_json, stratified_split_indices
 
 log = logging.getLogger("memtact")
 
@@ -62,7 +62,8 @@ def _kind(default) -> tuple[type, str]:
 def _resolve(args: argparse.Namespace) -> dict:
     """The command's settings: defaults, then config-file values, then flags.
     A config value must have its setting's type, where a float may be any
-    finite JSON number; a flag's text is parsed with that type."""
+    finite JSON number, and a number must lie within the float range; a
+    flag's text is parsed with that type."""
     defaults = SETTINGS[args.command]
     cfg = dict(defaults)
     path = args.config
@@ -73,9 +74,11 @@ def _resolve(args: argparse.Namespace) -> dict:
             raise ValueError(f"{path}: unknown config keys {sorted(unknown)}")
         for key, val in file_cfg.items():
             kind, want = _kind(defaults[key])
-            # NaN, infinities and integers past the float range fail
-            ok = type(val) is kind if kind is not float else (
-                type(val) in (int, float) and abs(val) <= sys.float_info.max)
+            # a float setting takes any JSON number, an int setting only an
+            # integer; NaN, infinities and numbers past the float range fail
+            ok = type(val) is kind or (kind is float and type(val) is int)
+            if ok and kind is not str:
+                ok = abs(val) <= FLOAT_MAX
             if not ok:
                 raise ValueError(f"{path}: config value {key} is not {want}")
         cfg.update(file_cfg)
@@ -104,9 +107,11 @@ def _parse_scheme(text: str) -> device.PulseScheme:
 
 
 def _encode_labels(y: np.ndarray) -> tuple[np.ndarray, list]:
-    classes = sorted(int(c) for c in np.unique(y))
+    # a set of Python ints, not np.unique, whose first call imports numpy.ma
+    labels = [int(v) for v in y.tolist()]
+    classes = sorted(set(labels))
     index = {c: i for i, c in enumerate(classes)}
-    return np.array([index[int(v)] for v in y]), classes
+    return np.array([index[v] for v in labels]), classes
 
 
 # ---------------------------------------------------------------------------

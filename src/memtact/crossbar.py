@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,8 +36,7 @@ MARGIN = 0.9
 PULSE_BLOCK = 8192
 
 
-@dataclass(frozen=True)
-class UpdateStats:
+class UpdateStats(NamedTuple):
     """Pulse counts and scale factors of one stochastic update call."""
 
     pulses_up: int
@@ -84,6 +84,10 @@ class AnalogTile:
         if not 0.0 <= self.sigma_c2c < math.inf:
             raise ValueError("sigma_c2c must be finite and non-negative")
         self._gu, self._gd = gamma_up, gamma_down
+        # the pulse kernel's scalars as 0-d arrays, which ufuncs take faster
+        # than Python floats; the values, and so the results, are the same
+        self._lo_hi_sigma = tuple(np.array(v) for v in (
+            self.b_min, self.b_max, self.sigma_c2c))
         self._w = np.zeros(gamma_up.shape)
         # per-device constants of the immutable parameters, made on first use
         self._midpoint = None
@@ -190,13 +194,20 @@ class AnalogTile:
         xi per pulsed device drawn in index order, up pulses before down.
         The devices go in blocks of PULSE_BLOCK; each block draws its
         normals from rng in turn, which are the draws of one call for all.
+        A polarity with no devices is skipped, and one that fits in a block
+        is pulsed without slicing.
         """
-        w = self._w.reshape(-1)
-        lo, hi, sig = self.b_min, self.b_max, self.sigma_c2c
-        for idx, gamma, bound in ((up_idx, self._gu.ravel(), hi),
-                                  (down_idx, self._gd.ravel(), lo)):
-            for start in range(0, idx.size, PULSE_BLOCK):
-                b = idx[start:start + PULSE_BLOCK]
+        w = self._w.ravel()
+        lo, hi, sig = self._lo_hi_sigma
+        for idx, grid, bound in ((up_idx, self._gu, hi),
+                                 (down_idx, self._gd, lo)):
+            n = idx.size
+            if not n:
+                continue
+            gamma = grid.ravel()
+            for b in ((idx,) if n <= PULSE_BLOCK else
+                      (idx[s:s + PULSE_BLOCK]
+                       for s in range(0, n, PULSE_BLOCK))):
                 w[b] = pulse(w[b], gamma[b], sig, rng.standard_normal(b.size),
                              bound, lo, hi)
 
@@ -220,8 +231,12 @@ class AnalogTile:
         One draw of rows + cols uniforms decides the firing: the first rows
         values gate the rows, the rest the columns, the same values and
         generator state as a draw per row followed by a draw per column.
-        The columns are tested first, since a step usually fires none, and
-        the row thresholds are computed only when one fires. The pulse
+        The columns are tested first, since a step usually fires none. Each
+        column's probability takes the same two rounded steps from |d_j| as
+        the largest one takes from max |d|, and rounding is monotone, so
+        no column fires unless the smallest column draw is below the
+        largest probability; that one comparison settles most calls. The
+        per-column and row thresholds are computed only past it. The pulse
         kernel then draws one normal per pulsed device in row-major order,
         up before down: the noise draws of a full-tile coincidence mask.
         Only the fired rows x fired columns are visited, so past the draw
@@ -233,9 +248,11 @@ class AnalogTile:
         if x.shape != (rows,) or d.shape != (cols,):
             raise ValueError("x and d must match the tile dimensions")
         abs_x, abs_d = np.abs(x), np.abs(d)
-        max_x = float(np.maximum.reduce(abs_x, initial=0.0))
-        max_d = float(np.maximum.reduce(abs_d, initial=0.0))
-        # max propagates NaN and |+-inf| is inf, so the maxima are finite
+        # argmax picks the first NaN if there is one, else the largest
+        # value: the value of np.maximum.reduce at a third of its call cost
+        max_x = abs_x.item(abs_x.argmax()) if rows else 0.0
+        max_d = abs_d.item(abs_d.argmax()) if cols else 0.0
+        # so the maxima propagate NaN, and |+-inf| is inf: they are finite
         # exactly when every entry is
         if not (max_x < math.inf and max_d < math.inf):
             raise ValueError("update vectors must be finite")
@@ -243,24 +260,28 @@ class AnalogTile:
         # still raise the running scales
         if not 0 <= lr < math.inf:
             raise ValueError(f"lr must be finite and non-negative, got {lr}")
-        self._scale_x = max(self._scale_x, max_x)
-        self._scale_d = max(self._scale_d, max_d)
-        if lr == 0.0 or self._scale_x == 0.0 or self._scale_d == 0.0:
-            return UpdateStats(0, 0, self._scale_x, self._scale_d)
+        s_x = self._scale_x = max(self._scale_x, max_x)
+        s_d = self._scale_d = max(self._scale_d, max_d)
+        if lr == 0.0 or s_x == 0.0 or s_d == 0.0:
+            return UpdateStats(0, 0, s_x, s_d)
         root = math.sqrt(lr)
         u = rng.random(rows + cols)
-        # a uniform draw in [0, 1) is below min(1, p) exactly when below p
-        c = (u[rows:] < root * abs_d / self._scale_d).nonzero()[0]
+        # a uniform draw in [0, 1) is below min(1, p) exactly when below p;
+        # a draw equal to its probability does not fire
+        u_d = u[rows:]
+        if not u_d.item(u_d.argmin()) < root * max_d / s_d:
+            return UpdateStats(0, 0, s_x, s_d)
+        c = (u_d < root * abs_d / s_d).nonzero()[0]
         if not c.size:
-            return UpdateStats(0, 0, self._scale_x, self._scale_d)
-        r = (u[:rows] < root * abs_x / self._scale_x).nonzero()[0]
+            return UpdateStats(0, 0, s_x, s_d)
+        r = (u[:rows] < root * abs_x / s_x).nonzero()[0]
         if not r.size:
-            return UpdateStats(0, 0, self._scale_x, self._scale_d)
+            return UpdateStats(0, 0, s_x, s_d)
         flat = (r * cols)[:, None] + c
         grad_sign = np.sign(x[r])[:, None] * np.sign(d[c])
         up, down = flat[grad_sign < 0], flat[grad_sign > 0]
         self._pulse(up, down, rng)
-        return UpdateStats(up.size, down.size, self._scale_x, self._scale_d)
+        return UpdateStats(up.size, down.size, s_x, s_d)
 
     def program_and_verify(self, targets: np.ndarray, rng: np.random.Generator,
                            epsilon: float = 0.02, max_iter: int = 200

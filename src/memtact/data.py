@@ -8,6 +8,7 @@ import contextlib
 import itertools
 import json
 import os
+import sys
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
@@ -99,7 +100,9 @@ def stratified_split_indices(labels, test_fraction: float, rng: np.random.Genera
     if not 0.0 < test_fraction < 1.0:
         raise ValueError("test_fraction must lie strictly between 0 and 1")
     train_idx, test_idx = [], []
-    for lab in np.unique(labels):
+    # the sorted distinct labels, as np.unique gives them, without the
+    # numpy.ma import of its first call
+    for lab in sorted(set(labels.tolist())):
         idx = np.flatnonzero(labels == lab)
         if idx.size < 2:
             raise ValueError(f"label {lab} has fewer than 2 samples, cannot split")
@@ -138,22 +141,37 @@ def json_object(path, payload, keys, what: str) -> dict:
     return payload
 
 
+# the types json.loads gives a JSON number; float() and np.asarray would
+# also take text that spells one and booleans, which are not numbers here.
+# Every number read must lie within the float range, integers too.
+JSON_NUMBERS = {int, float}
+FLOAT_MAX = sys.float_info.max
+
+
 def json_float(path, value, what: str) -> float:
-    """float(value); a ValueError naming the file if value has none."""
+    """value, a JSON number, as a float; else a ValueError naming the file
+    and the field, also for an integer past the float range."""
+    if type(value) not in JSON_NUMBERS:
+        raise ValueError(f"{path}: {what} is not a number")
     try:
         return float(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{path}: {what} is not a number") from None
+    except OverflowError:
+        raise ValueError(f"{path}: {what} is past the float range") from None
 
 
 def json_array(path, value, what: str, shape: tuple) -> np.ndarray:
-    """value as a float64 array of the given shape with finite values; else
-    a ValueError naming the file."""
+    """value, nested lists of JSON numbers, as a float64 array of the given
+    shape with finite values; else a ValueError naming the file and the
+    field."""
+    # an object array takes any nesting, and holds the values themselves
+    a = np.array(value, dtype=object)
+    if not set(map(type, a.flat)) <= JSON_NUMBERS:
+        raise ValueError(f"{path}: {what} is not an array of numbers")
     try:
-        a = np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError):
-        raise ValueError(f"{path}: {what} is not an array of numbers") \
-            from None
+        a = a.astype(np.float64)
+    except OverflowError:
+        raise ValueError(f"{path}: {what} holds a number past the float "
+                         f"range") from None
     if a.shape != shape:
         raise ValueError(f"{path}: {what} must have shape {shape}, not "
                          f"{a.shape}")

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .crossbar import AnalogTile, ProgramReport, weight_map_affine
-from .data import Dataset, FeatureScaler, derive_rng, json_array, \
-    json_object, named, read_csv, read_json, write_csv
+from .data import FLOAT_MAX, Dataset, FeatureScaler, derive_rng, \
+    json_array, json_object, named, read_csv, read_json, write_csv
 from .device import DEFAULT_SIGMA_C2C, DeviceDistribution, \
     default_distribution
 
@@ -92,26 +92,33 @@ class TrainHistory:
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
-    # the ufunc reductions behind z.max and e.sum, without their wrappers
-    e = np.exp(z - np.maximum.reduce(z, axis=-1, keepdims=True))
-    e /= np.add.reduce(e, axis=-1, keepdims=True)
+    """Softmax of one logit vector or of each row of a batch, as a new
+    array; z is left as it is."""
+    # the ufunc reductions behind z.max and e.sum, without their wrappers;
+    # a vector's maximum is the entry argmax picks (the first NaN, if any),
+    # and its scalars subtract and divide faster than the one-element
+    # arrays keepdims gives
+    z = np.asarray(z)
+    vector = z.ndim == 1
+    e = z - (z[z.argmax()] if vector
+             else np.maximum.reduce(z, axis=-1, keepdims=True))
+    np.exp(e, out=e)
+    e /= np.add.reduce(e, axis=-1, keepdims=not vector)
     return e
-
-
-def relu(z: np.ndarray) -> np.ndarray:
-    return np.maximum(z, 0.0)
 
 
 def _activations(net, x: np.ndarray) -> list:
     """[x, hidden ReLU outputs..., logits] of one sample or a batch of rows;
-    net._mac(l, h) is layer l's MAC of h through its weights."""
+    net._mac(l, h) is layer l's MAC of h through its weights, a new array,
+    which takes the bias and the ReLU in place. x itself is never written."""
     h = np.asarray(x, dtype=np.float64)
     acts = [h]
     last = len(net.biases) - 1
     for l, b in enumerate(net.biases):
-        h = net._mac(l, h) + b
+        h = net._mac(l, h)
+        h += b
         if l < last:
-            h = relu(h)
+            np.maximum(h, 0.0, out=h)
         acts.append(h)
     return acts
 
@@ -129,7 +136,9 @@ def _backward(net, x: np.ndarray, y: int):
     for l in range(len(net.biases) - 1, 0, -1):
         # a hidden unit passes error where its ReLU output is positive,
         # which is where its pre-activation was
-        deltas.append(net._backward_mac(l, deltas[-1]) * (acts[l] > 0))
+        delta = net._backward_mac(l, delta)
+        delta *= acts[l] > 0.0
+        deltas.append(delta)
     deltas.reverse()
     return loss, acts, deltas
 
@@ -172,7 +181,9 @@ class Network:
     def backprop(self, x: np.ndarray, y: int):
         """Cross-entropy loss and gradients for one sample."""
         loss, acts, deltas = _backward(self, x, y)
-        return loss, [np.outer(a, d) for a, d in zip(acts, deltas)], deltas
+        # outer products by broadcasting: np.outer's multiply, without its
+        # wrapper
+        return loss, [a[:, None] * d for a, d in zip(acts, deltas)], deltas
 
 
 def evaluate(net, dataset: Dataset) -> float:
@@ -190,10 +201,12 @@ def _train_epochs(net, train, test, epochs, rng, step) -> TrainHistory:
     if len(train) == 0:
         raise ValueError("training set is empty")
     history = TrainHistory()
+    # row views and int labels, made once; no step writes into a row
+    rows, labels = list(train.x), train.y.tolist()
     for epoch in range(epochs):
         total = 0.0
-        for i in rng.permutation(len(train)):
-            total += step(train.x[i], int(train.y[i]))
+        for i in rng.permutation(len(train)).tolist():
+            total += step(rows[i], labels[i])
         test_acc = evaluate(net, test) if test is not None else float("nan")
         history.append(epoch, evaluate(net, train), test_acc,
                        total / len(train))
@@ -203,6 +216,9 @@ def _train_epochs(net, train, test, epochs, rng, step) -> TrainHistory:
 def _sgd(net, train, test, epochs, rng, lr, noise_std=0.0) -> TrainHistory:
     """Per-sample SGD on net, shuffled by rng, with gradients taken under
     weight noise drawn from rng when noise_std > 0 (see the finetune)."""
+    # lr as a 0-d array, which ufuncs take faster than a Python float
+    rate = np.array(lr, dtype=np.float64)
+
     def step(x, y):
         noisy = net
         if noise_std > 0:
@@ -212,9 +228,12 @@ def _sgd(net, train, test, epochs, rng, lr, noise_std=0.0) -> TrainHistory:
                 for w in net.weights]
         loss, gw, gb = noisy.backprop(x, y)
         if lr:
-            for l in range(len(net.weights)):
-                net.weights[l] -= lr * gw[l]
-                net.biases[l] -= lr * gb[l]
+            # the gradients are new arrays, scaled in place
+            for w, b, g_w, g_b in zip(net.weights, net.biases, gw, gb):
+                g_w *= rate
+                w -= g_w
+                g_b *= rate
+                b -= g_b
         return loss
 
     return _train_epochs(net, train, test, epochs, rng, step)
@@ -268,11 +287,14 @@ class AnalogNetwork:
         """(mac - offset * sum(x)) / scale: the MAC of x, one vector or a
         batch of rows, through the effective weights (w - offset) / scale.
         The sum is taken only for a nonzero offset; trained tiles have none.
+        mac is the tile's new output array, undone in place.
         """
         scale, offset = self.scales[l], self.offsets[l]
         if offset:
-            mac = mac - offset * x.sum(axis=-1, keepdims=True)
-        return mac if scale == 1.0 else mac / scale
+            mac -= offset * x.sum(axis=-1, keepdims=True)
+        if scale != 1.0:
+            mac /= scale
+        return mac
 
     def _mac(self, l: int, h: np.ndarray) -> np.ndarray:
         return self._undo_map(l, self.tiles[l].forward_mac(h), h)
@@ -365,22 +387,28 @@ def _transfer_column(state: TTv2State, l: int, cfg: TrainConfig,
     w_tile = state.net.tiles[l]
     one_hot = np.zeros(a_tile.cols)
     one_hot[k] = 1.0
-    read = a_tile.backward_mac(one_hot) - a_tile.symmetry_point()[:, k]
+    # the read is a new array: it is referenced, scaled and accumulated in
+    # place, and the grants, whole numbers held as floats, likewise
+    read = a_tile.backward_mac(one_hot)
+    read -= a_tile.symmetry_point()[:, k]
+    read *= cfg.lr
     h_col = state.hidden[l][:, k]
-    h_col += cfg.lr * read
+    h_col += read
     unit = w_tile.midpoint_step()[:, k]
-    grants = (np.abs(h_col) // unit).astype(np.int64)
-    rounds = int(np.maximum.reduce(grants))
+    grants = np.abs(h_col)
+    grants //= unit
+    rounds = int(grants[grants.argmax()])
     if rounds:
-        sign = np.sign(h_col)
-        h_col -= sign * grants * unit
-        pos, neg = sign > 0, sign < 0
+        # the signed pulse counts, both masks' source, and H debited by them
+        owed = np.sign(h_col)
+        owed *= grants
+        h_col -= owed * unit
         up = np.zeros(w_tile.shape, dtype=bool)
         down = np.zeros(w_tile.shape, dtype=bool)
+        up_k, down_k = up[:, k], down[:, k]
         for n in range(rounds):
-            owed = grants > n
-            up[:, k] = owed & pos
-            down[:, k] = owed & neg
+            np.greater(owed, n, out=up_k)
+            np.less(owed, -n, out=down_k)
             w_tile.apply_pulses(up, down, rng)
     state.cursors[l] = (k + 1) % a_tile.cols
 
@@ -399,10 +427,12 @@ def ttv2_step(state: TTv2State, x: np.ndarray, y: int, cfg: TrainConfig,
     state.steps += 1
     transfer = lr and state.steps % cfg.transfer_every == 0
     for l in range(len(deltas) - 1, -1, -1):
+        d = deltas[l]
         if fast_lr:
-            a_tiles[l].stochastic_update(acts[l], deltas[l], fast_lr, rng)
+            a_tiles[l].stochastic_update(acts[l], d, fast_lr, rng)
         if lr:
-            biases[l] -= lr * deltas[l]
+            d *= lr  # the error is read no more, so it is scaled in place
+            biases[l] -= d
         if transfer:
             _transfer_column(state, l, cfg, rng)
     return loss
@@ -521,7 +551,8 @@ def load_model(path):
     classes = d.get("classes")
     for what, ints in (("layer_dims", dims),
                        ("classes", [] if classes is None else classes)):
-        if not (isinstance(ints, list) and all(type(n) is int for n in ints)):
+        if not (isinstance(ints, list) and all(
+                type(n) is int and abs(n) <= FLOAT_MAX for n in ints)):
             raise ValueError(f"{path}: {what} is not a list of integers")
     with named(f"{path}: layer_dims {dims}"):
         spec = NetworkSpec(tuple(dims))

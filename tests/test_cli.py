@@ -310,10 +310,18 @@ def test_cli_import_leaves_scipy_unloaded():
 
 @pytest.fixture(scope="module")
 def command_inputs(tmp_path_factory):
-    """A gesture file, two traces and a model for the module-set test."""
+    """A gesture file, its feature rows, two traces, a model and one trained
+    on the rows for the module-set test."""
     tmp_path = tmp_path_factory.mktemp("inputs")
     assert run("gen-data", "--labels", 5, "--per-label", 1, "--out",
                tmp_path / "g.jsonl") == 0
+    # two gestures per label, so that train can split them
+    assert run("gen-data", "--labels", 5, "--per-label", 2, "--out",
+               tmp_path / "g10.jsonl") == 0
+    assert run("extract-features", "--data", tmp_path / "g10.jsonl",
+               "--out", tmp_path / "f10.csv") == 0
+    assert run("train", "--features", tmp_path / "f10.csv", "--epochs", 1,
+               "--model-out", tmp_path / "fp.json") == 0
     params = device.DeviceParams(gamma_up=0.09, gamma_down=0.07,
                                  sigma_c2c=0.02)
     for k in (1, 2):
@@ -337,20 +345,35 @@ CORE_MODULES = ["memtact", "memtact.cli", "memtact.data", "memtact.device"]
       "--out", "fit.json"], []),
     (["program", "--model", "m.json", "--out", "p.json"],
      ["memtact.crossbar", "memtact.nn"]),
-], ids=["gen-data", "extract-features", "fit-device", "program"])
+    (["train", "--features", "f10.csv", "--epochs", "1", "--model-out",
+      "fp2.json"], ["memtact.crossbar", "memtact.nn", "memtact.tactile"]),
+    (["train", "--features", "f10.csv", "--mode", "ttv2", "--hidden", "2",
+      "--epochs", "1", "--model-out", "ttv2.json"],
+     ["memtact.crossbar", "memtact.nn", "memtact.tactile"]),
+    (["infer", "--model", "fp.json", "--features", "f10.csv"],
+     ["memtact.crossbar", "memtact.nn", "memtact.tactile"]),
+], ids=["gen-data", "extract-features", "fit-device", "program", "train-fp",
+        "train-ttv2", "infer"])
 def test_each_command_loads_only_its_modules(command_inputs, argv, modules):
-    """A command imports the modules it runs and no others. sys.modules is
-    per process, so each command runs in a fresh interpreter."""
+    """A command imports the modules it runs and no others, and none loads
+    numpy.ma, which np.unique imports on its first call, unless importing
+    numpy does (numpy 1.x imports it eagerly). sys.modules is per process,
+    so each command runs in a fresh interpreter."""
     src = Path(memtact.__file__).resolve().parent.parent
-    code = ("import json, sys\nfrom memtact.cli import main\n"
+    code = ("import json, sys\nimport numpy\n"
+            "with_numpy = 'numpy.ma' in sys.modules\n"
+            "from memtact.cli import main\n"
             "assert main(sys.argv[1:]) == 0\n"
-            "print(json.dumps(sorted(m for m in sys.modules\n"
-            "                        if m.split('.')[0] == 'memtact')))")
+            "print(json.dumps([sorted(m for m in sys.modules\n"
+            "                         if m.split('.')[0] == 'memtact'),\n"
+            "                  with_numpy, 'numpy.ma' in sys.modules]))")
     out = subprocess.run([sys.executable, "-c", code, *argv],
                          cwd=command_inputs, check=True, capture_output=True,
                          text=True, env=dict(os.environ, PYTHONPATH=str(src))
                          ).stdout
-    assert json.loads(out) == sorted(CORE_MODULES + modules)
+    loaded, with_numpy, after_command = json.loads(out.splitlines()[-1])
+    assert loaded == sorted(CORE_MODULES + modules)
+    assert after_command == with_numpy
 
 
 def test_full_pipeline_train_program_infer(tmp_path, small_features, capsys):
@@ -699,13 +722,17 @@ def test_error_exits_with_status_one_and_one_stderr_line(tmp_path):
 # The corrupted-field strategy: in a valid input, one field that its
 # reader reads is replaced by a token that is never valid there (text,
 # empty, null, NaN, Infinity, a nested list or a number past the float
-# range). The command must end with one `error:` line naming the file and
-# write nothing. Letters alone never spell a finite number.
+# range; in JSON also a string holding a number, a boolean and an integer
+# past the float range). The command must end with one `error:` line naming
+# the file and write nothing. In a CSV field, letters alone never spell a
+# finite number ("inf" and "nan" spell others); in JSON, a string is never
+# a number, whatever its text.
 LETTERS = st.text(string.ascii_letters, min_size=1, max_size=8)
 CSV_TOKENS = LETTERS | st.sampled_from(
     ["", "null", "NaN", "Infinity", "[[0.5], [1]]", "1e999"])
 JSON_TOKENS = LETTERS.map(json.dumps) | st.sampled_from(
-    ['""', "null", "NaN", "Infinity", "[[0.5], [1]]", "1e999"])
+    ['""', "null", "NaN", "Infinity", "[[0.5], [1]]", "1e999", '"0.5"',
+     "true", "false", "1" + "0" * 399])
 CORRUPTION = settings(max_examples=20, deadline=None, derandomize=True,
                       database=None)
 # each reader's command, with IN for the corrupted file

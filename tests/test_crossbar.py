@@ -1,5 +1,6 @@
 """Tile-level tests: MAC reads, pulsed updates, programming, weight maps."""
 
+import copy
 import csv
 
 import numpy as np
@@ -677,6 +678,37 @@ def test_sparse_update_matches_mask_reference(case):
         assert type(got.pulses_up) is int and type(got.pulses_down) is int
         assert np.array_equal(tiles[1].read_weights(),
                               tiles[0].read_weights())
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+
+@pytest.mark.parametrize("cols, sure", [(1, None), (3, None), (3, 1)],
+                         ids=["smallest_draw", "every_column", "beside_fire"])
+def test_draw_equal_to_its_probability_does_not_fire(cols, sure):
+    """A column fires when its draw is below its probability, not equal to
+    it: with lr = 1 and s_d = 1 a column's probability is |d_j| itself, so
+    d set to the column draws, read ahead on a clone of the generator, ties
+    every column. One column ties where the smallest draw settles the call,
+    three pass that test and tie each, and two tie beside a sure column
+    (d = 1); the result, tile and generator are the reference's."""
+    rows = 2
+    rngs = [derive_rng(21, 1) for _ in range(2)]
+    u = copy.deepcopy(rngs[0]).random(rows + cols)
+    d = u[rows:].copy()
+    if sure is not None:
+        d[sure] = 1.0
+    tiles = [random_tile(rows, cols, derive_rng(21, 0)) for _ in range(2)]
+    results = []
+    for update, tile, rng in zip(
+            (reference_stochastic_update, AnalogTile.stochastic_update),
+            tiles, rngs):
+        # lr = 0 draws nothing and sets both running scales to 1, so every
+        # row's probability is 1
+        update(tile, np.ones(rows), np.ones(cols), 0.0, rng)
+        results.append(update(tile, np.ones(rows), d, 1.0, rng))
+    fired = 0 if sure is None else rows
+    assert results[1] == results[0]
+    assert results[1].pulses_up + results[1].pulses_down == fired
+    assert np.array_equal(tiles[1].read_weights(), tiles[0].read_weights())
     assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
 
 

@@ -35,6 +35,7 @@ from memtact.nn import (
     ttv2_step,
     write_history_csv,
 )
+from memtact.nn import _sgd  # the loop behind both digital trainers
 from test_crossbar import (reference_midpoint_step,
                            reference_stochastic_update,
                            reference_symmetry_point)
@@ -362,6 +363,101 @@ def test_finetuned_net_degrades_less_under_weight_noise(seed):
         tuned, eval_ds, 0.05, 100, derive_rng(44, seed)).mean()
     assert deg_base > 0
     assert deg_tuned < deg_base
+
+
+# -- the digital step against the loop it replaced ---------------------------
+
+
+def reference_softmax(z):
+    e = np.exp(z - np.maximum.reduce(z, axis=-1, keepdims=True))
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
+    return e
+
+
+def reference_activations(net, x):
+    h = np.asarray(x, dtype=np.float64)
+    acts = [h]
+    last = len(net.biases) - 1
+    for l, b in enumerate(net.biases):
+        h = h @ net.weights[l] + b
+        if l < last:
+            h = np.maximum(h, 0.0)
+        acts.append(h)
+    return acts
+
+
+def reference_backprop(net, x, y):
+    """Cross-entropy loss, np.outer weight gradients and bias gradients."""
+    acts = reference_activations(net, x)
+    delta = reference_softmax(acts[-1])
+    y = int(y)
+    loss = -math.log(max(delta[y], 1e-300))
+    delta[y] -= 1.0
+    deltas = [delta]
+    for l in range(len(net.biases) - 1, 0, -1):
+        deltas.append((net.weights[l] @ deltas[-1]) * (acts[l] > 0))
+    deltas.reverse()
+    return loss, [np.outer(a, d) for a, d in zip(acts, deltas)], deltas
+
+
+def reference_sgd(net, train, epochs, rng, lr, noise_std):
+    """Per-sample SGD, noisy weights from rng for each sample when noise_std
+    > 0; returns per epoch the train accuracy and mean loss."""
+    records = []
+    for _ in range(epochs):
+        total = 0.0
+        for i in rng.permutation(len(train)):
+            noisy = net
+            if noise_std > 0:
+                noisy = Network.from_arrays(net.spec, [
+                    w * (1.0 + noise_std * rng.standard_normal(w.shape))
+                    for w in net.weights], net.biases)
+            loss, gw, gb = reference_backprop(noisy, train.x[i],
+                                              int(train.y[i]))
+            total += loss
+            if lr:
+                for l in range(len(net.weights)):
+                    net.weights[l] -= lr * gw[l]
+                    net.biases[l] -= lr * gb[l]
+        scores = reference_activations(net, train.x)[-1]
+        records.append((float((scores.argmax(axis=1) == train.y).mean()),
+                        total / len(train)))
+    return records
+
+
+@st.composite
+def sgd_cases(draw):
+    dims = draw(st.sampled_from([(4, 3), (6, 2), (5, 4, 3), (3, 6, 2),
+                                 (4, 5, 3, 2)]))
+    lr = draw(st.sampled_from([0.0, 0.05, 0.8]))
+    noise_std = draw(st.sampled_from([0.0, 0.1, 0.4]))
+    samples = draw(st.integers(1, 12))
+    epochs = draw(st.integers(1, 3))
+    seed = draw(st.integers(0, 2**16))
+    return dims, lr, noise_std, samples, epochs, seed
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(case=sgd_cases())
+def test_sgd_step_matches_reference_loop(case):
+    """The in-place forward, broadcast outer products and in-place update
+    move nothing: weights, biases, per-epoch losses and accuracies and the
+    generator state equal those of the np.outer loop they replaced, with
+    and without the finetune's weight noise."""
+    dims, lr, noise_std, samples, epochs, seed = case
+    data = derive_rng(seed, 0)
+    x = data.standard_normal((samples, dims[0])) \
+        * (data.random((samples, dims[0])) < 0.8)
+    train = Dataset(x, data.integers(dims[-1], size=samples))
+    net = Network(NetworkSpec(dims), seed=seed % 97)
+    ref = copy.deepcopy(net)
+    rng, ref_rng = derive_rng(seed, 1), derive_rng(seed, 1)
+    history = _sgd(net, train, None, epochs, rng, lr, noise_std)
+    records = reference_sgd(ref, train, epochs, ref_rng, lr, noise_std)
+    assert [(r.train_acc, r.loss) for r in history.records] == records
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    for got, want in zip(net.weights + net.biases, ref.weights + ref.biases):
+        assert got.tobytes() == want.tobytes()
 
 
 # -- two-tile analog training -------------------------------------------------
